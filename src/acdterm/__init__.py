@@ -3,7 +3,6 @@
 from .engine import (
     BUDGET_EXHAUSTED,
     NORMAL_FORM,
-    BudgetError,
     EngineState,
     HistoryEntry,
     RunResult,
@@ -11,7 +10,6 @@ from .engine import (
     entry_of,
     format_step,
     initial_state,
-    normalise,
     run,
     step,
     step_record,
@@ -48,7 +46,6 @@ from .terms import (
     annotate_from,
     app,
     canonical,
-    conj,
     conjunctive_context,
     ids_of,
     positions,

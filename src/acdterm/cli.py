@@ -6,7 +6,8 @@
     acdterm oracle -p FILE (-g TERM | -G FILE) [--depth N] [--width N]
 
 Exit codes: 0 normal form reached (or check passed), 2 step budget exhausted,
-1 parse or usage error. The final goal is printed to stdout; the trace goes
+1 parse or usage error (a term nested too deeply for the recursive parser,
+engine or printer included). The final goal is printed to stdout; the trace goes
 to stderr or to --trace-out.
 """
 
@@ -77,21 +78,23 @@ def _add_goal_options(sub):
 def _cmd_run(args) -> int:
     program = _load_program(args.program)
     goal = _load_goal(args)
-    result = run(program, goal, max_steps=args.max_steps)
-    if args.trace or args.trace_out:
-        if args.trace_out:
-            out = open(args.trace_out, "w", encoding="utf-8")
-        else:
-            out = sys.stderr
+    out = sys.stderr
+    if args.trace_out:
         try:
+            out = open(args.trace_out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SystemExit(f"acdterm: cannot write {args.trace_out}: {exc.strerror}") from exc
+    try:
+        result = run(program, goal, max_steps=args.max_steps)
+        if args.trace or args.trace_out:
             for ts in result.trace:
                 if args.format == "json-lines":
                     print(json.dumps(step_record(ts)), file=out)
                 else:
                     print(format_step(ts), file=out)
-        finally:
-            if args.trace_out:
-                out.close()
+    finally:
+        if args.trace_out:
+            out.close()
     final = canonical(strip(result.final.goal))
     if args.print_ids:
         print(pretty(result.final.goal, print_ids=True))
@@ -162,6 +165,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
+    except RecursionError:
+        print("acdterm: term nested too deeply", file=sys.stderr)
+        return 1
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

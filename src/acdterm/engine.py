@@ -1,4 +1,4 @@
-"""Execution states, transitions, propagation histories and normalization.
+"""Execution states, transitions, propagation histories and trace rendering.
 
 A run starts from the freshly annotated goal with an empty history. Each
 transition applies the textually first rule at the first redex in preorder
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Iterator
 
-from .matching import Redex, Subst, guard_holds, match_cc, redexes_at
+from .matching import Subst, guard_holds, match_cc, redexes_at
 from .pretty import pretty
 from .rules import PROPAGATION, SIMPAGATION, Program, Rule
 from .terms import (
@@ -29,7 +29,6 @@ from .terms import (
     Var,
     aapp,
     annotate_from,
-    app,
     conjunctive_context,
     positions,
     replace_at,
@@ -46,10 +45,6 @@ KIND_OF = {
 
 NORMAL_FORM = "normal_form"
 BUDGET_EXHAUSTED = "budget_exhausted"
-
-
-class BudgetError(RuntimeError):
-    """Raised by normalise when the step budget is exhausted."""
 
 
 @dataclass(frozen=True)
@@ -154,14 +149,15 @@ def update_history(
 # --- rule application --------------------------------------------------------
 
 
-def _instantiate(body: Term, theta: Subst, taken: set[str], freshen: bool, raw: bool = False) -> Term:
+def _instantiate(body: Term, theta: Subst, taken: frozenset[str]) -> Term:
     """theta applied to a rule body as a plain term.
 
-    Body-only variables become fresh goal variables (when freshen is set),
-    with names chosen deterministically and disjoint from `taken`. With
-    `raw`, AC nodes are not re-flattened, so the body's positions stay valid
-    on the instance (required for aligning the history renaming).
+    Body-only variables become fresh goal variables, with names chosen
+    deterministically and disjoint from the names in `taken`. AC nodes are
+    not re-flattened, so the body's positions stay valid on the instance
+    (required for aligning the history renaming).
     """
+    taken = set(taken)
     fresh: dict[str, Term] = {}
 
     def walk(t: Term) -> Term:
@@ -169,8 +165,6 @@ def _instantiate(body: Term, theta: Subst, taken: set[str], freshen: bool, raw: 
             bound = theta.get(t.name)
             if bound is not None:
                 return strip(bound)
-            if not freshen:
-                return t
             if t.name not in fresh:
                 k = 1
                 while f"_{t.name}{k}" in taken:
@@ -181,8 +175,7 @@ def _instantiate(body: Term, theta: Subst, taken: set[str], freshen: bool, raw: 
             return fresh[t.name]
         if isinstance(t, Num):
             return t
-        args = tuple(walk(a) for a in t.args)
-        return App(t.functor, args) if raw else app(t.functor, args)
+        return App(t.functor, tuple(walk(a) for a in t.args))
 
     return walk(body)
 
@@ -203,19 +196,19 @@ class _Fired:
     entry: tuple[int, ...] | None
 
 
-def _splice(node: ATerm, redex: Redex, replacement: ATerm) -> ATerm:
-    """Swap a selection redex's children for the replacement subtree.
+def _splice(node: ATerm, selected: tuple[int, ...], replacement: ATerm) -> ATerm:
+    """Swap the selected children of an AC node for the replacement subtree.
 
     The replacement takes the place of the first selected child; the
     residual children stay in place.
     """
-    first = redex.selected[0]
-    selected = set(redex.selected)
+    first = selected[0]
+    chosen = set(selected)
     new_children: list[ATerm] = []
     for i, child in enumerate(node.args, start=1):
         if i == first:
             new_children.append(replacement)
-        elif i in selected:
+        elif i in chosen:
             continue
         else:
             new_children.append(child)
@@ -224,19 +217,19 @@ def _splice(node: ATerm, redex: Redex, replacement: ATerm) -> ATerm:
 
 def _try_rule_at(
     rule: Rule,
-    node: ATerm,
-    cc_thunk,
+    goal: ATerm,
+    path: Position,
     history: frozenset[HistoryEntry],
     next_id: int,
-    taken: set[str],
 ) -> _Fired | None:
-    """First applicable redex of one rule anchored at one node, applied."""
+    """First applicable redex of one rule anchored at the node at path, applied."""
+    node = subterm_at(goal, path)
     conjunction_node = isinstance(node, AApp) and node.functor == AND
     for redex in redexes_at(node, rule.head):
         if rule.kind == SIMPAGATION:
             # residual children sit in the focus's context only under /\
             extra = redex.residual if conjunction_node else ()
-            cc_full = tuple(cc_thunk()) + tuple(extra)
+            cc_full = conjunctive_context(goal, path) + extra
             thetas: Iterator[Subst] = match_cc(rule.cc_head, cc_full, redex.theta)
         else:
             thetas = iter((redex.theta,))
@@ -248,7 +241,7 @@ def _try_rule_at(
                 entry = entry_of(rule.name, redex.matched)
                 if entry in history:
                     continue
-            body_plain = _instantiate(rule.body, theta, taken, freshen=True, raw=True)
+            body_plain = _instantiate(rule.body, theta, vars_of(goal))
             body_raw, new_next = annotate_from(body_plain, next_id)
             new_history = update_history(rule.head, redex.matched, rule.body, body_raw, history)
             body_a = _flatten_annotated(body_raw)
@@ -261,7 +254,7 @@ def _try_rule_at(
             if redex.selected is None:
                 repl = replacement
             else:
-                repl = _splice(node, redex, replacement)
+                repl = _splice(node, redex.selected, replacement)
             return _Fired(
                 replacement=repl,
                 history=new_history,
@@ -280,19 +273,10 @@ def initial_state(goal: Term) -> EngineState:
 def step(state: EngineState, program: Program) -> tuple[EngineState, TraceStep] | None:
     """One transition: textually first rule at its first redex, or None."""
     goal = state.goal
-    taken = set(vars_of(goal))
     all_positions = positions(goal)
     for rule in program.rules:
         for path in all_positions:
-            node = subterm_at(goal, path)
-            fired = _try_rule_at(
-                rule,
-                node,
-                lambda p=path: conjunctive_context(goal, p),
-                state.history,
-                state.next_id,
-                set(taken),
-            )
+            fired = _try_rule_at(rule, goal, path, state.history, state.next_id)
             if fired is None:
                 continue
             new_goal = replace_at(goal, fired.replacement, path)
@@ -322,111 +306,6 @@ def run(program: Program, goal: Term, max_steps: int = 10_000) -> RunResult:
         trace.append(_dc_replace(ts, index=k + 1))
     status = NORMAL_FORM if step(state, program) is None else BUDGET_EXHAUSTED
     return RunResult(state, tuple(trace), status)
-
-
-# --- bottom-up normalization -------------------------------------------------
-
-
-class _NormCtx:
-    def __init__(self, program: Program, history, next_id: int, taken: set[str], budget: int):
-        self.program = program
-        self.history = frozenset(history)
-        self.next_id = next_id
-        self.taken = taken
-        self.remaining = budget
-
-    def fire_at(self, node: ATerm, cc: tuple[ATerm, ...]) -> ATerm | None:
-        for rule in self.program.rules:
-            fired = _try_rule_at(rule, node, lambda: cc, self.history, self.next_id, self.taken)
-            if fired is not None:
-                if self.remaining <= 0:
-                    raise BudgetError("step budget exhausted during normalization")
-                self.remaining -= 1
-                self.history = fired.history
-                self.next_id = fired.next_id
-                return fired.replacement
-        return None
-
-
-def _norm_goal(ctx: _NormCtx, node: ATerm, cc: tuple[ATerm, ...]) -> ATerm:
-    if isinstance(node, AApp) and node.functor == AND:
-        children = list(node.args)
-        while True:
-            progressed = False
-            for i in range(len(children)):
-                others = tuple(c for j, c in enumerate(children) if j != i)
-                new = _norm_goal(ctx, children[i], others + cc)
-                if new != children[i]:
-                    children[i] = new
-                    progressed = True
-            spliced: list[ATerm] = []
-            for c in children:
-                if isinstance(c, AApp) and c.functor == AND:
-                    spliced.extend(c.args)
-                else:
-                    spliced.append(c)
-            children = spliced
-            if not progressed:
-                break
-        rebuilt = aapp(AND, children, node.id)
-    elif isinstance(node, AApp):
-        args = tuple(_norm_goal(ctx, a, cc) for a in node.args)
-        rebuilt = aapp(node.functor, args, node.id)
-    else:
-        rebuilt = node
-    fired = ctx.fire_at(rebuilt, cc)
-    if fired is not None:
-        return _norm_goal(ctx, fired, cc)
-    return rebuilt
-
-
-def normalise(
-    program: Program,
-    term: Term,
-    theta: Subst | None = None,
-    cc=(),
-    changed: bool = False,
-    state: EngineState | None = None,
-    max_steps: int = 10_000,
-) -> tuple[ATerm, EngineState]:
-    """Normalize a term bottom-up with respect to a conjunctive context.
-
-    A variable bound in theta is assumed to map to an already normalized
-    term: it is returned as is unless `changed` signals that the context has
-    changed since it was normalized, in which case it is renormalized. A
-    conjunction repeatedly normalizes each conjunct with the others added to
-    the context until a fixpoint, which renormalizes conjuncts whose context
-    was changed by a sibling; other compounds normalize their arguments with
-    the context passed through. After the children, rules are tried at the
-    node (textual order, first redex) and a fired body is normalized in turn.
-
-    `state` supplies the propagation history and identifier high-water mark;
-    the returned state carries the updated history, identifier counter and
-    the normalized term as its goal. Raises BudgetError after max_steps rule
-    applications.
-    """
-    theta = theta or {}
-    cc_terms: list[ATerm] = []
-    next_id = state.next_id if state is not None else 1
-    for c in cc:
-        if isinstance(c, (Var, Num, App)):
-            ca, next_id = annotate_from(c, next_id)
-            cc_terms.append(ca)
-        else:
-            cc_terms.append(c)
-    history = state.history if state is not None else frozenset()
-    initial_vars = state.initial_vars if state is not None else vars_of(term)
-    taken = set(vars_of(term)) | {v for c in cc_terms for v in vars_of(c)} | set(theta)
-    ctx = _NormCtx(program, history, next_id, taken, max_steps)
-
-    if isinstance(term, Var) and term.name in theta:
-        binding = theta[term.name]
-        result = _norm_goal(ctx, binding, tuple(cc_terms)) if changed else binding
-    else:
-        plain = _instantiate(term, theta, taken, freshen=False)
-        ga, ctx.next_id = annotate_from(plain, ctx.next_id)
-        result = _norm_goal(ctx, ga, tuple(cc_terms))
-    return result, EngineState(result, ctx.history, initial_vars, ctx.next_id)
 
 
 # --- trace rendering ---------------------------------------------------------

@@ -28,6 +28,7 @@ from .terms import (
     Var,
     ac_equal,
     app,
+    canonical,
     positions,
     size,
     strip,
@@ -250,7 +251,7 @@ def guard_holds(guard: Term, theta: Subst) -> bool:
     """Whether a guard term holds under theta.
 
     The recognised guards: true, false, conjunction, var/1, nonvar/1,
-    syntactic disequality !==, and comparisons (=, <=, <, >=, >) over
+    disequality modulo AC !==, and comparisons (=, <=, <, >=, >) over
     arithmetic expressions built from integers, +, * and size/1. Any other
     term simply does not hold.
     """
@@ -269,7 +270,7 @@ def guard_holds(guard: Term, theta: Subst) -> bool:
         if f == "!==" and n == 2:
             lhs = _instantiate_plain(guard.args[0], theta)
             rhs = _instantiate_plain(guard.args[1], theta)
-            return lhs != rhs
+            return canonical(lhs) != canonical(rhs)
         if f in _COMPARISONS and n == 2:
             lhs = _arith(_instantiate_plain(guard.args[0], theta))
             rhs = _arith(_instantiate_plain(guard.args[1], theta))

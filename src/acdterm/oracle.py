@@ -20,6 +20,8 @@ from .engine import (
     TraceStep,
     _flatten_annotated,
     _instantiate,
+    _splice,
+    _zip_ids,
     initial_state,
 )
 from .matching import guard_holds
@@ -39,6 +41,7 @@ from .terms import (
     aapp,
     annotate_from,
     canonical,
+    conjunctive_context,
     positions,
     replace_at,
     size,
@@ -161,18 +164,6 @@ def _match_b(pattern, subject, theta, occ):
     return theta
 
 
-def _pair_ids(a: ATerm, b: ATerm, rho: dict[int, int]) -> None:
-    rho[a.id] = b.id
-    if (
-        isinstance(a, AApp)
-        and isinstance(b, AApp)
-        and a.functor == b.functor
-        and len(a.args) == len(b.args)
-    ):
-        for x, y in zip(a.args, b.args):
-            _pair_ids(x, y, rho)
-
-
 def _oracle_update(occ, body: Term, body_a: ATerm, h0):
     renamings = []
     for name, bound_b in occ:
@@ -180,7 +171,7 @@ def _oracle_update(occ, body: Term, body_a: ATerm, h0):
         for q in positions(body):
             if subterm_at(body, q) == Var(name):
                 rho: dict[int, int] = {}
-                _pair_ids(bound, subterm_at(body_a, q), rho)
+                _zip_ids(bound, subterm_at(body_a, q), rho)
                 if rho:
                     renamings.append(rho)
     out = set(h0)
@@ -189,16 +180,6 @@ def _oracle_update(occ, body: Term, body_a: ATerm, h0):
             if any(i in rho for i in e.ids):
                 out.add(HistoryEntry(e.rule, tuple(rho.get(i, i) for i in e.ids)))
     return frozenset(out)
-
-
-def _cc_elements(goal: ATerm, path) -> list[ATerm]:
-    out: list[ATerm] = []
-    cur = goal
-    for i in path:
-        if isinstance(cur, AApp) and cur.functor == AND:
-            out.extend(a for j, a in enumerate(cur.args, start=1) if j != i)
-        cur = cur.args[i - 1]
-    return out
 
 
 def _root_ok(head: Term, focus: ATerm) -> bool:
@@ -268,20 +249,6 @@ def _cc_matches(cc_head: Term, elements, theta, arrs):
     yield from assign(0, frozenset(), theta)
 
 
-def _splice_subset(node: AApp, selected, replacement: ATerm) -> ATerm:
-    first = selected[0]
-    sel = set(selected)
-    children: list[ATerm] = []
-    for i, child in enumerate(node.args, start=1):
-        if i == first:
-            children.append(replacement)
-        elif i in sel:
-            continue
-        else:
-            children.append(child)
-    return aapp(node.functor, children, node.id)
-
-
 def enumerate_transitions(
     state: EngineState,
     program: Program,
@@ -313,7 +280,7 @@ def enumerate_transitions(
             head_arrs[rule.name] = arrs(ha)
         return head_arrs[rule.name]
 
-    taken_base = set(vars_of(goal))
+    goal_vars = vars_of(goal)
     successors: list[tuple[EngineState, TraceStep]] = []
     seen = set()
 
@@ -340,9 +307,9 @@ def enumerate_transitions(
                         if theta is None:
                             continue
                         if rule.kind == SIMPAGATION:
-                            elements = _cc_elements(goal, path)
+                            elements = conjunctive_context(goal, path)
                             if isinstance(node, AApp) and node.functor == AND:
-                                elements = elements + list(residual)
+                                elements = elements + residual
                             theta_iter = _cc_matches(rule.cc_head, elements, theta, arrs)
                         else:
                             theta_iter = iter((theta,))
@@ -355,10 +322,7 @@ def enumerate_transitions(
                                 entry = HistoryEntry(rule.name, _b_entry(s_arr))
                                 if entry in state.history:
                                     continue
-                            taken = set(taken_base)
-                            body_plain = _instantiate(
-                                rule.body, th_terms, taken, freshen=True, raw=True
-                            )
+                            body_plain = _instantiate(rule.body, th_terms, goal_vars)
                             body_raw, new_next = annotate_from(body_plain, state.next_id)
                             history = _oracle_update(occ, rule.body, body_raw, state.history)
                             body_a = _flatten_annotated(body_raw)
@@ -372,7 +336,7 @@ def enumerate_transitions(
                             if selected is None:
                                 repl = replacement
                             else:
-                                repl = _splice_subset(node, selected, replacement)
+                                repl = _splice(node, selected, replacement)
                             new_goal = replace_at(goal, repl, path)
                             succ = EngineState(
                                 new_goal, history, state.initial_vars, new_next

@@ -39,41 +39,37 @@ OR = "\\/"
 AC_FUNCTORS = frozenset({AND, OR, "+", "*"})
 
 TRUE = App("true")
-FALSE = App("false")
+
+
+def _ac_node(cls, functor: str, args, *extra):
+    """cls(functor, args, *extra), flattening AC operators.
+
+    For an AC functor, children of class cls with the same functor are
+    spliced in and a single-child node collapses to that child.
+    """
+    args = tuple(args)
+    if functor not in AC_FUNCTORS:
+        return cls(functor, args, *extra)
+    flat = []
+    stack = list(reversed(args))
+    while stack:
+        a = stack.pop()
+        if isinstance(a, cls) and a.functor == functor:
+            stack.extend(reversed(a.args))
+        else:
+            flat.append(a)
+    if not flat:
+        raise ValueError(f"AC operator {functor!r} needs at least one operand")
+    if len(flat) == 1:
+        return flat[0]
+    return cls(functor, tuple(flat), *extra)
 
 
 def app(functor: str, args=()) -> Term:
-    """Build a compound term, flattening AC operators.
-
-    For an AC functor, children with the same functor are spliced in and a
-    single-child node collapses to that child.
-    """
+    """Build a compound term, flattening AC operators."""
     if not functor:
         raise ValueError("empty functor")
-    args = tuple(args)
-    if functor in AC_FUNCTORS:
-        flat: list[Term] = []
-        stack = list(reversed(args))
-        while stack:
-            a = stack.pop()
-            if isinstance(a, App) and a.functor == functor:
-                stack.extend(reversed(a.args))
-            else:
-                flat.append(a)
-        if not flat:
-            raise ValueError(f"AC operator {functor!r} needs at least one operand")
-        if len(flat) == 1:
-            return flat[0]
-        return App(functor, tuple(flat))
-    return App(functor, args)
-
-
-def conj(args) -> Term:
-    """Conjunction of terms; empty conjunction is true."""
-    args = tuple(args)
-    if not args:
-        return TRUE
-    return app(AND, args)
+    return _ac_node(App, functor, args)
 
 
 # --- annotated terms -------------------------------------------------------
@@ -103,22 +99,7 @@ ATerm = AVar | ANum | AApp
 
 def aapp(functor: str, args, id: int) -> ATerm:
     """Annotated compound with AC flattening (the node id is kept)."""
-    args = tuple(args)
-    if functor in AC_FUNCTORS:
-        flat: list[ATerm] = []
-        stack = list(reversed(args))
-        while stack:
-            a = stack.pop()
-            if isinstance(a, AApp) and a.functor == functor:
-                stack.extend(reversed(a.args))
-            else:
-                flat.append(a)
-        if not flat:
-            raise ValueError(f"AC operator {functor!r} needs at least one operand")
-        if len(flat) == 1:
-            return flat[0]
-        return AApp(functor, tuple(flat), id)
-    return AApp(functor, args, id)
+    return _ac_node(AApp, functor, args, id)
 
 
 def strip(t: ATerm) -> Term:

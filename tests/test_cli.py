@@ -143,6 +143,25 @@ def test_missing_program_file(capsys):
     assert "no_such.acd" in capsys.readouterr().err
 
 
+def test_unwritable_trace_out(tmp_path, capsys):
+    target = tmp_path / "missing" / "t"
+    code = main(["run", "-p", prog("empty.acd"), "-g", "a", "--trace-out", str(target)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"acdterm: cannot write {target}:" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_goal(tmp_path, capsys):
+    goal_file = tmp_path / "deep.goal"
+    goal_file.write_text("f(" * 600 + "a" + ")" * 600 + "\n", encoding="utf-8")
+    code = main(["run", "-p", prog("empty.acd"), "-G", str(goal_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_invalid_max_steps(capsys):
     code = main(["run", "-p", prog("empty.acd"), "-g", "a", "--max-steps", "0"])
     assert code == 1

@@ -1,20 +1,15 @@
 import random
 
-import pytest
-
 from acdterm import (
     AApp,
     App,
     AVar,
-    BudgetError,
-    Num,
     Var,
     ac_equal,
     annotate,
     entry_of,
     ids_of,
     initial_state,
-    normalise,
     parse_program,
     parse_term,
     run,
@@ -22,7 +17,14 @@ from acdterm import (
     strip,
     update_history,
 )
-from acdterm.engine import BUDGET_EXHAUSTED, NORMAL_FORM, HistoryEntry, format_step, step_record
+from acdterm.engine import (
+    BUDGET_EXHAUSTED,
+    NORMAL_FORM,
+    HistoryEntry,
+    _splice,
+    format_step,
+    step_record,
+)
 
 P = parse_term
 AND = "/\\"
@@ -125,6 +127,16 @@ def test_step_fresh_identifiers(leq_program):
     assert new_ids and min(new_ids) >= state.next_id
 
 
+def test_splice_selection_at_conjunction():
+    a, b, c, d = (AApp(x, (), i) for i, x in enumerate("abcd", start=1))
+    node = AApp(AND, (a, b, c, d), 5)
+    r = AApp("r", (), 6)
+    assert _splice(node, (2, 4), r) == AApp(AND, (a, r, c), 5)
+    assert _splice(node, (1, 3), r) == AApp(AND, (r, b, d), 5)
+    x, y = AApp("x", (), 7), AApp("y", (), 8)
+    assert _splice(node, (2, 3), AApp(AND, (x, y), 9)) == AApp(AND, (a, x, y, d), 5)
+
+
 # --- run -------------------------------------------------------------------------------
 
 
@@ -167,6 +179,12 @@ def test_run_variable_conservation(unify_program):
     assert final_vars - fresh <= res.final.initial_vars
 
 
+def test_disequality_guard_is_modulo_ac():
+    prog = parse_program("r @ p(X,Y) <=> X !== Y | q.")
+    assert run(prog, P("p(a /\\ b, b /\\ a)")).trace == ()
+    assert len(run(prog, P("p(a /\\ b, b /\\ c)")).trace) == 1
+
+
 def test_trace_formats():
     prog = parse_program("once @ a <=> b.")
     res = run(prog, App("a"))
@@ -175,54 +193,6 @@ def test_trace_formats():
     rec = step_record(ts)
     assert rec == {"n": 1, "kind": "simplify", "rule": "once", "path": [], "ids": [], "goal": "b"}
     assert parse_term(rec["goal"]) == App("b")
-
-
-# --- normalise ---------------------------------------------------------------------------
-
-
-def test_normalise_context_change_triggers_renormalisation(one_subst_program):
-    result, state = normalise(one_subst_program, P("not_one(A) /\\ one(A)"))
-    assert ac_equal(strip(result), P("(A = 1) /\\ false"))
-    assert state.goal == result
-
-
-def test_normalise_uses_supplied_context(golfers_program):
-    result, _ = normalise(
-        golfers_program,
-        P("holds(maxOverlap(G1,G2,1))"),
-        cc=[P("maxOverlap(G1,G2,0)")],
-    )
-    assert strip(result) == Num(1)
-
-
-def test_normalise_ground_no_rules():
-    result, _ = normalise(parse_program(""), P("f(a,b)"))
-    assert strip(result) == P("f(a,b)")
-    assert len(ids_of(result)) == 3
-
-
-def test_normalise_bound_variable_shortcut(one_subst_program):
-    binding = annotate(0, P("f(a)"))
-    result, _ = normalise(one_subst_program, Var("X"), theta={"X": binding})
-    assert result == binding
-
-
-def test_normalise_budget():
-    prog = parse_program("spin @ f(X) <=> f(X).")
-    with pytest.raises(BudgetError):
-        normalise(prog, P("f(a)"), max_steps=10)
-
-
-def test_normalise_agrees_with_run_on_corpus(leq_program, unify_program):
-    cases = [
-        (leq_program, "leq(X,Y) /\\ leq(Y,Z) /\\ ~leq(X,Z)"),
-        (unify_program, "X = Y /\\ f(f(X)) = X /\\ Y = f(f(f(Y)))"),
-    ]
-    for prog, src in cases:
-        goal = P(src)
-        res = run(prog, goal)
-        norm, _ = normalise(prog, goal)
-        assert ac_equal(strip(norm), strip(res.final.goal))
 
 
 # --- body-only variables -------------------------------------------------------------------

@@ -246,6 +246,8 @@ def test_guard_syntactic_disequality():
     theta = {"X": annotate(0, Var("A")), "Y": annotate(0, Var("B"))}
     assert guard_holds(P("X !== Y"), theta)
     assert not guard_holds(P("X !== X"), theta)
+    commuted = {"X": A("a /\\ b"), "Y": A("b /\\ a")}
+    assert not guard_holds(P("X !== Y"), commuted)
 
 
 def test_guard_arithmetic():
