@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Iterator
 
-from .matching import Subst, guard_holds, match_cc, redexes_at
+from .matching import Subst, _instantiate, guard_holds, match_cc, redexes_at
 from .pretty import pretty
 from .rules import PROPAGATION, SIMPAGATION, Program, Rule
 from .terms import (
@@ -22,8 +22,6 @@ from .terms import (
     AND,
     AApp,
     ATerm,
-    App,
-    Num,
     Position,
     Term,
     Var,
@@ -57,7 +55,6 @@ class HistoryEntry:
 class EngineState:
     goal: ATerm
     history: frozenset[HistoryEntry]
-    initial_vars: frozenset[str]
     next_id: int
 
 
@@ -67,7 +64,6 @@ class TraceStep:
     rule: str
     kind: str  # simplify | propagate | simpagate
     path: Position
-    selected: tuple[int, ...] | None
     entry: tuple[int, ...] | None
     goal_after: Term
 
@@ -138,6 +134,13 @@ def update_history(
             _zip_ids(subterm_at(head_inst, p), subterm_at(body_inst, q), rho)
             if rho:
                 renamings.append(rho)
+    return _rename(h0, renamings)
+
+
+def _rename(
+    h0: frozenset[HistoryEntry], renamings: list[dict[int, int]]
+) -> frozenset[HistoryEntry]:
+    """h0 plus, per renaming, each entry mentioning a renamed identifier, renamed."""
     out = set(h0)
     for rho in renamings:
         for e in h0:
@@ -149,51 +152,11 @@ def update_history(
 # --- rule application --------------------------------------------------------
 
 
-def _instantiate(body: Term, theta: Subst, taken: frozenset[str]) -> Term:
-    """theta applied to a rule body as a plain term.
-
-    Body-only variables become fresh goal variables, with names chosen
-    deterministically and disjoint from the names in `taken`. AC nodes are
-    not re-flattened, so the body's positions stay valid on the instance
-    (required for aligning the history renaming).
-    """
-    taken = set(taken)
-    fresh: dict[str, Term] = {}
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            bound = theta.get(t.name)
-            if bound is not None:
-                return strip(bound)
-            if t.name not in fresh:
-                k = 1
-                while f"_{t.name}{k}" in taken:
-                    k += 1
-                name = f"_{t.name}{k}"
-                taken.add(name)
-                fresh[t.name] = Var(name)
-            return fresh[t.name]
-        if isinstance(t, Num):
-            return t
-        return App(t.functor, tuple(walk(a) for a in t.args))
-
-    return walk(body)
-
-
 def _flatten_annotated(t: ATerm) -> ATerm:
     """Restore the flattened-AC invariant, keeping surviving identifiers."""
     if isinstance(t, AApp):
         return aapp(t.functor, tuple(_flatten_annotated(a) for a in t.args), t.id)
     return t
-
-
-@dataclass(frozen=True)
-class _Fired:
-    replacement: ATerm
-    history: frozenset[HistoryEntry]
-    next_id: int
-    selected: tuple[int, ...] | None
-    entry: tuple[int, ...] | None
 
 
 def _splice(node: ATerm, selected: tuple[int, ...], replacement: ATerm) -> ATerm:
@@ -215,14 +178,49 @@ def _splice(node: ATerm, selected: tuple[int, ...], replacement: ATerm) -> ATerm
     return aapp(node.functor, new_children, node.id)
 
 
-def _try_rule_at(
+def _successor(
     rule: Rule,
-    goal: ATerm,
+    state: EngineState,
     path: Position,
-    history: frozenset[HistoryEntry],
+    selected: tuple[int, ...] | None,
+    matched: ATerm | None,
+    body: ATerm,
     next_id: int,
-) -> _Fired | None:
+    history: frozenset[HistoryEntry],
+    entry: HistoryEntry | None,
+) -> tuple[EngineState, TraceStep]:
+    """The state a rule application leads to, with its trace record.
+
+    `body` is the annotated body instance before flattening, `next_id` the
+    first identifier it left unused and `history` the renamed history. A
+    propagation (`entry` given) conjoins the matched head instance with the
+    body and records the entry. The result replaces the selected children of
+    the node at path, or the whole node when `selected` is None.
+    """
+    replacement = _flatten_annotated(body)
+    if entry is not None:
+        history = history | {entry}
+        replacement = aapp(AND, (matched, replacement), next_id)
+        next_id += 1
+    if selected is not None:
+        replacement = _splice(subterm_at(state.goal, path), selected, replacement)
+    goal = replace_at(state.goal, replacement, path)
+    ts = TraceStep(
+        index=1,
+        rule=rule.name,
+        kind=KIND_OF[rule.kind],
+        path=path,
+        entry=entry.ids if entry else None,
+        goal_after=strip(goal),
+    )
+    return EngineState(goal, history, next_id), ts
+
+
+def _try_rule_at(
+    rule: Rule, state: EngineState, path: Position
+) -> tuple[EngineState, TraceStep] | None:
     """First applicable redex of one rule anchored at the node at path, applied."""
+    goal = state.goal
     node = subterm_at(goal, path)
     conjunction_node = isinstance(node, AApp) and node.functor == AND
     for redex in redexes_at(node, rule.head):
@@ -239,58 +237,30 @@ def _try_rule_at(
             entry = None
             if rule.kind == PROPAGATION:
                 entry = entry_of(rule.name, redex.matched)
-                if entry in history:
+                if entry in state.history:
                     continue
             body_plain = _instantiate(rule.body, theta, vars_of(goal))
-            body_raw, new_next = annotate_from(body_plain, next_id)
-            new_history = update_history(rule.head, redex.matched, rule.body, body_raw, history)
-            body_a = _flatten_annotated(body_raw)
-            if rule.kind == PROPAGATION:
-                new_history = new_history | {entry}
-                replacement = aapp(AND, (redex.matched, body_a), new_next)
-                new_next += 1
-            else:
-                replacement = body_a
-            if redex.selected is None:
-                repl = replacement
-            else:
-                repl = _splice(node, redex.selected, replacement)
-            return _Fired(
-                replacement=repl,
-                history=new_history,
-                next_id=new_next,
-                selected=redex.selected,
-                entry=entry.ids if entry else None,
+            body, next_id = annotate_from(body_plain, state.next_id)
+            history = update_history(rule.head, redex.matched, rule.body, body, state.history)
+            return _successor(
+                rule, state, path, redex.selected, redex.matched, body, next_id, history, entry
             )
     return None
 
 
 def initial_state(goal: Term) -> EngineState:
     goal_a, next_id = annotate_from(goal, 1)
-    return EngineState(goal_a, frozenset(), vars_of(goal), next_id)
+    return EngineState(goal_a, frozenset(), next_id)
 
 
 def step(state: EngineState, program: Program) -> tuple[EngineState, TraceStep] | None:
     """One transition: textually first rule at its first redex, or None."""
-    goal = state.goal
-    all_positions = positions(goal)
+    all_positions = positions(state.goal)
     for rule in program.rules:
         for path in all_positions:
-            fired = _try_rule_at(rule, goal, path, state.history, state.next_id)
-            if fired is None:
-                continue
-            new_goal = replace_at(goal, fired.replacement, path)
-            new_state = EngineState(new_goal, fired.history, state.initial_vars, fired.next_id)
-            ts = TraceStep(
-                index=1,
-                rule=rule.name,
-                kind=KIND_OF[rule.kind],
-                path=path,
-                selected=fired.selected,
-                entry=fired.entry,
-                goal_after=strip(new_goal),
-            )
-            return new_state, ts
+            fired = _try_rule_at(rule, state, path)
+            if fired is not None:
+                return fired
     return None
 
 

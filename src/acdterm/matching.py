@@ -21,13 +21,11 @@ from .terms import (
     ANum,
     App,
     ATerm,
-    AVar,
     Num,
     Position,
     Term,
     Var,
     ac_equal,
-    app,
     canonical,
     positions,
     size,
@@ -199,6 +197,38 @@ def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
     yield from assign(0, frozenset(), dict(theta0))
 
 
+def _instantiate(term: Term, theta: Subst, taken: frozenset[str]) -> Term:
+    """theta applied to a term, as a plain term.
+
+    Unbound variables become fresh goal variables, with names chosen
+    deterministically and disjoint from the names in `taken`. AC nodes are
+    not re-flattened, so a rule body's positions stay valid on its instance
+    (required for aligning the history renaming).
+    """
+    return _instantiate_with(term, theta, taken, {})
+
+
+def _instantiate_with(
+    t: Term, theta: Subst, taken: frozenset[str], fresh: dict[str, Var]
+) -> Term:
+    # a recursive function rather than a closure: guards call _instantiate
+    # once per variable, where building a closure would double its cost
+    if isinstance(t, Var):
+        bound = theta.get(t.name)
+        if bound is not None:
+            return strip(bound)
+        if t.name not in fresh:
+            chosen = {v.name for v in fresh.values()}
+            k = 1
+            while f"_{t.name}{k}" in taken or f"_{t.name}{k}" in chosen:
+                k += 1
+            fresh[t.name] = Var(f"_{t.name}{k}")
+        return fresh[t.name]
+    if isinstance(t, Num):
+        return t
+    return App(t.functor, tuple(_instantiate_with(a, theta, taken, fresh) for a in t.args))
+
+
 # --- guards ------------------------------------------------------------------
 
 _COMPARISONS = {
@@ -208,19 +238,6 @@ _COMPARISONS = {
     ">": lambda a, b: a > b,
     "=": lambda a, b: a == b,
 }
-
-
-def _instantiate_plain(t: Term, theta: Subst) -> Term:
-    if isinstance(t, Var):
-        bound = theta.get(t.name)
-        if bound is None:
-            return t
-        if isinstance(bound, (AVar, ANum, AApp)):
-            return strip(bound)
-        return bound
-    if isinstance(t, Num):
-        return t
-    return app(t.functor, tuple(_instantiate_plain(a, theta) for a in t.args))
 
 
 def _arith(t: Term) -> int | None:
@@ -264,16 +281,16 @@ def guard_holds(guard: Term, theta: Subst) -> bool:
         if f == AND:
             return all(guard_holds(a, theta) for a in guard.args)
         if f == "var" and n == 1:
-            return isinstance(_instantiate_plain(guard.args[0], theta), Var)
+            return isinstance(_instantiate(guard.args[0], theta, frozenset()), Var)
         if f == "nonvar" and n == 1:
-            return not isinstance(_instantiate_plain(guard.args[0], theta), Var)
+            return not isinstance(_instantiate(guard.args[0], theta, frozenset()), Var)
         if f == "!==" and n == 2:
-            lhs = _instantiate_plain(guard.args[0], theta)
-            rhs = _instantiate_plain(guard.args[1], theta)
+            lhs = _instantiate(guard.args[0], theta, frozenset())
+            rhs = _instantiate(guard.args[1], theta, frozenset())
             return canonical(lhs) != canonical(rhs)
         if f in _COMPARISONS and n == 2:
-            lhs = _arith(_instantiate_plain(guard.args[0], theta))
-            rhs = _arith(_instantiate_plain(guard.args[1], theta))
+            lhs = _arith(_instantiate(guard.args[0], theta, frozenset()))
+            rhs = _arith(_instantiate(guard.args[1], theta, frozenset()))
             if lhs is None or rhs is None:
                 return False
             return _COMPARISONS[f](lhs, rhs)

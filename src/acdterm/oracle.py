@@ -14,17 +14,15 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .engine import (
-    KIND_OF,
     EngineState,
     HistoryEntry,
     TraceStep,
-    _flatten_annotated,
-    _instantiate,
-    _splice,
+    _rename,
+    _successor,
     _zip_ids,
     initial_state,
 )
-from .matching import guard_holds
+from .matching import _instantiate, guard_holds
 from .rules import PROPAGATION, SIMPAGATION, Program, Rule
 from .terms import (
     AC_FUNCTORS,
@@ -43,12 +41,16 @@ from .terms import (
     canonical,
     conjunctive_context,
     positions,
-    replace_at,
     size,
     strip,
     subterm_at,
     vars_of,
 )
+
+
+# Desk-scale bounds: goal size, and binary AC rearrangements of one term.
+MAX_GOAL_SIZE = 28
+MAX_ARRANGEMENTS = 200_000
 
 
 class OracleSizeError(RuntimeError):
@@ -164,7 +166,8 @@ def _match_b(pattern, subject, theta, occ):
     return theta
 
 
-def _oracle_update(occ, body: Term, body_a: ATerm, h0):
+def _renamings(occ, body: Term, body_a: ATerm) -> list[dict[int, int]]:
+    """Identifier renamings from each bound head occurrence to the body's copies."""
     renamings = []
     for name, bound_b in occ:
         bound = _b_to_aterm(bound_b)
@@ -174,12 +177,7 @@ def _oracle_update(occ, body: Term, body_a: ATerm, h0):
                 _zip_ids(bound, subterm_at(body_a, q), rho)
                 if rho:
                     renamings.append(rho)
-    out = set(h0)
-    for rho in renamings:
-        for e in h0:
-            if any(i in rho for i in e.ids):
-                out.add(HistoryEntry(e.rule, tuple(rho.get(i, i) for i in e.ids)))
-    return frozenset(out)
+    return renamings
 
 
 def _root_ok(head: Term, focus: ATerm) -> bool:
@@ -250,11 +248,7 @@ def _cc_matches(cc_head: Term, elements, theta, arrs):
 
 
 def enumerate_transitions(
-    state: EngineState,
-    program: Program,
-    *,
-    max_size: int = 28,
-    max_arrangements: int = 200_000,
+    state: EngineState, program: Program
 ) -> list[tuple[EngineState, TraceStep]]:
     """All legal successor states of a state, with their transition records.
 
@@ -262,14 +256,14 @@ def enumerate_transitions(
     only and refuses rather than degrade.
     """
     goal = state.goal
-    if size(goal) > max_size:
-        raise OracleSizeError(f"goal size {size(goal)} exceeds bound {max_size}")
+    if size(goal) > MAX_GOAL_SIZE:
+        raise OracleSizeError(f"goal size {size(goal)} exceeds bound {MAX_GOAL_SIZE}")
 
     arr_cache: dict[ATerm, list] = {}
 
     def arrs(t: ATerm) -> list:
         if t not in arr_cache:
-            arr_cache[t] = _arrangements(t, max_arrangements)
+            arr_cache[t] = _arrangements(t, MAX_ARRANGEMENTS)
         return arr_cache[t]
 
     head_arrs: dict[str, list] = {}
@@ -323,39 +317,20 @@ def enumerate_transitions(
                                 if entry in state.history:
                                     continue
                             body_plain = _instantiate(rule.body, th_terms, goal_vars)
-                            body_raw, new_next = annotate_from(body_plain, state.next_id)
-                            history = _oracle_update(occ, rule.body, body_raw, state.history)
-                            body_a = _flatten_annotated(body_raw)
-                            if rule.kind == PROPAGATION:
-                                history = history | {entry}
-                                matched = _b_to_aterm(s_arr)
-                                replacement = aapp(AND, (matched, body_a), new_next)
-                                new_next += 1
-                            else:
-                                replacement = body_a
-                            if selected is None:
-                                repl = replacement
-                            else:
-                                repl = _splice(node, selected, replacement)
-                            new_goal = replace_at(goal, repl, path)
-                            succ = EngineState(
-                                new_goal, history, state.initial_vars, new_next
+                            body, next_id = annotate_from(body_plain, state.next_id)
+                            history = _rename(
+                                state.history, _renamings(occ, rule.body, body)
                             )
-                            ts = TraceStep(
-                                index=1,
-                                rule=rule.name,
-                                kind=KIND_OF[rule.kind],
-                                path=path,
-                                selected=selected,
-                                entry=entry.ids if entry else None,
-                                goal_after=strip(new_goal),
+                            matched = _b_to_aterm(s_arr) if entry is not None else None
+                            succ, ts = _successor(
+                                rule, state, path, selected, matched, body, next_id, history, entry
                             )
                             key = (
                                 rule.name,
                                 ts.kind,
                                 canonical(ts.goal_after),
                                 ts.entry,
-                                history,
+                                succ.history,
                             )
                             if key not in seen:
                                 seen.add(key)
@@ -405,7 +380,7 @@ def _relabel(state: EngineState) -> EngineState:
     hist2 = frozenset(
         HistoryEntry(e.rule, tuple(rho[i] for i in e.ids)) for e in state.history
     )
-    return EngineState(goal2, hist2, state.initial_vars, len(rho) + 1)
+    return EngineState(goal2, hist2, len(rho) + 1)
 
 
 def search_normal_forms(
@@ -413,7 +388,6 @@ def search_normal_forms(
     goal: Term,
     depth: int = 20,
     width: int = 10_000,
-    **limits,
 ) -> SearchResult:
     """Bounded breadth-first search over all transitions.
 
@@ -433,7 +407,7 @@ def search_normal_forms(
         for st in frontier:
             explored += 1
             try:
-                succs = enumerate_transitions(st, program, **limits)
+                succs = enumerate_transitions(st, program)
             except OracleSizeError:
                 truncated = True
                 continue
@@ -456,7 +430,7 @@ def search_normal_forms(
     return SearchResult(frozenset(normal), explored, truncated)
 
 
-def first_divergence(program: Program, goal: Term, trace, **limits) -> int | None:
+def first_divergence(program: Program, goal: Term, trace) -> int | None:
     """Index of the first trace step that is not a legal transition, if any.
 
     The trace is replayed against the full successor relation; every stage
@@ -468,7 +442,7 @@ def first_divergence(program: Program, goal: Term, trace, **limits) -> int | Non
         nxt: list[EngineState] = []
         seen = set()
         for st in frontier:
-            for succ, sts in enumerate_transitions(st, program, **limits):
+            for succ, sts in enumerate_transitions(st, program):
                 if (
                     sts.rule == ts.rule
                     and sts.kind == ts.kind
@@ -485,6 +459,6 @@ def first_divergence(program: Program, goal: Term, trace, **limits) -> int | Non
     return None
 
 
-def verify_trace(program: Program, goal: Term, trace, **limits) -> bool:
+def verify_trace(program: Program, goal: Term, trace) -> bool:
     """Whether every trace step is a legal transition per the semantics."""
-    return first_divergence(program, goal, trace, **limits) is None
+    return first_divergence(program, goal, trace) is None

@@ -17,7 +17,7 @@ from acdterm import (
     pretty,
     strip,
 )
-from acdterm.matching import _instantiate_plain
+from acdterm.matching import _instantiate
 
 P = parse_term
 
@@ -79,7 +79,7 @@ def test_match_soundness_property():
         subj = app("/\\", (rand_subject(2), rand_subject(2), rand_subject(1)))
         sa = annotate(0, subj)
         for theta in match(pattern, sa):
-            inst = _instantiate_plain(pattern, theta)
+            inst = _instantiate(pattern, theta, frozenset())
             assert ac_equal(inst, subj)
 
 

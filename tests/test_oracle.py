@@ -15,9 +15,11 @@ from acdterm import (
     pretty,
     run,
     search_normal_forms,
+    step,
     verify_trace,
 )
 from acdterm.engine import TraceStep
+from acdterm.oracle import _relabel
 
 P = parse_term
 
@@ -98,7 +100,6 @@ def test_verify_rejects_forged_step(leq_program):
             rule="not_a_rule",
             kind="simplify",
             path=(),
-            selected=None,
             entry=None,
             goal_after=App("false"),
         )
@@ -117,12 +118,48 @@ def test_verify_rejects_wrong_result(leq_program):
             rule="reflexivity",
             kind="simplify",
             path=(),
-            selected=None,
             entry=None,
             goal_after=App("false"),
         )
     ]
     assert first_divergence(leq_program, goal, bad) == 1
+
+
+def test_engine_successor_is_an_oracle_successor(
+    leq_program, unify_program, one_subst_program
+):
+    # goal and history of each engine step, up to identifier relabelling,
+    # must be among the oracle's successors of the same state; the leq cycle
+    # and dup rename history entries
+    dup = parse_program(
+        """
+        mark @ a /\\ b ==> m.
+        dup  @ f(X) <=> X /\\ q(X).
+        """
+    )
+    cases = [
+        (leq_program, "leq(X,Y) /\\ leq(Y,Z) /\\ ~leq(X,Z)"),
+        (leq_program, "leq(a,b) /\\ leq(b,c) /\\ leq(c,a)"),
+        (unify_program, "X = Y /\\ f(f(X)) = X /\\ Y = f(f(f(Y)))"),
+        (one_subst_program, "not_one(A) /\\ one(A)"),
+        (dup, "f(a /\\ b)"),
+    ]
+    checked = 0
+    for prog, src in cases:
+        state = initial_state(P(src))
+        for _ in range(50):
+            nxt = step(state, prog)
+            if nxt is None:
+                break
+            mine = _relabel(nxt[0])
+            theirs = {
+                (r.goal, r.history)
+                for r in (_relabel(s) for s, _ in enumerate_transitions(state, prog))
+            }
+            assert (mine.goal, mine.history) in theirs, (src, nxt[1].rule)
+            state = nxt[0]
+            checked += 1
+    assert checked == 26
 
 
 # --- meta-oracle spot check -------------------------------------------------------
