@@ -6,6 +6,16 @@ submultiset of the flattened children: non-variable pattern children consume
 exactly one subject child each, variable pattern children consume a non-empty
 group. Enumeration is deterministic: pattern children left to right, subject
 children in node order, groups by ascending size then index order.
+
+The AC matcher cuts branches that cannot yield a match, in the manner of
+Eker's AC matching (Computer Journal 38(5), 1995), without changing that
+order. Once per AC node it tables the subject children whose head symbol
+(functor and arity, number value) fits each non-variable pattern child. It
+stops as soon as a remaining non-variable pattern child has no candidate
+left among the unused children, and before it enumerates the groups of a
+variable it checks that the later non-variable pattern children can still
+take distinct unused children under the bindings so far. Group sizes are
+bounded by the number of pattern children still to be served.
 """
 
 from __future__ import annotations
@@ -94,27 +104,73 @@ def _match_node(pattern: Term, subject: ATerm, theta: Subst) -> Iterator[tuple[S
     yield from walk(0, theta, [])
 
 
+def _head(t: Term | ATerm):
+    """A key on which a non-variable pattern and a subject agree exactly when
+    their head symbols fit: a number's value, an AC node's functor, and
+    functor and arity for any other node (None for a variable)."""
+    if isinstance(t, (App, AApp)):
+        return t.functor if t.functor in AC_FUNCTORS else (t.functor, len(t.args))
+    if isinstance(t, (Num, ANum)):
+        return t.value
+    return None
+
+
 def _match_ac(pattern: App, subject: AApp, theta: Subst, full: bool):
     """Assign subject children to pattern children at a shared AC functor.
 
     Yields (theta', instance, used-indices). With full=True every subject
     child must be consumed (plain matching); otherwise the leftover children
-    form the redex residual.
+    form the redex residual. Branches are cut only when they provably yield
+    nothing, so the enumeration order is that of the unpruned search.
     """
     pat_children = pattern.args
     sub_children = subject.args
+    m = len(pat_children)
     n = len(sub_children)
+    # fits[i]: bitmask of the subject children whose head symbol fits
+    # pattern child i, None for a variable
+    by_head: dict = {}
+    for j, s in enumerate(sub_children):
+        key = _head(s)
+        by_head[key] = by_head.get(key, 0) | 1 << j
+    fits = [None if key is None else by_head.get(key, 0) for key in map(_head, pat_children)]
 
-    def assign(i, unused: tuple[int, ...], th, insts):
-        if i == len(pat_children):
+    def feasible(ks: tuple[int, ...], free: int, th) -> bool:
+        # can pattern children ks take distinct children in free under th?
+        if not ks:
+            return True
+        p = pat_children[ks[0]]
+        candidates = fits[ks[0]] & free
+        for j in range(n):
+            if candidates >> j & 1:
+                for th2, _inst in _match_node(p, sub_children[j], th):
+                    if feasible(ks[1:], free & ~(1 << j), th2):
+                        return True
+        return False
+
+    # `unused` lists the subject children not yet taken, in node order;
+    # `free` is the same set as a bitmask
+    def assign(i, unused: tuple[int, ...], free: int, th, insts):
+        if i == m:
             if full and unused:
                 return
             yield th, AApp(subject.functor, tuple(insts), subject.id), unused
             return
+        for k in range(i, m):
+            if fits[k] is not None and not fits[k] & free:
+                return
         p = pat_children[i]
-        if isinstance(p, Var):
+        fit = fits[i]
+        if fit is None:
+            later = tuple(k for k in range(i + 1, m) if fits[k] is not None)
+            if not feasible(later, free, th):
+                return
             bound = th.get(p.name)
-            for k in range(1, len(unused) + 1):
+            # every later pattern child takes at least one subject child,
+            # and under full=True with no later variable exactly one
+            top = len(unused) - (m - i - 1)
+            low = top if full and len(later) == m - i - 1 else 1
+            for k in range(low, top + 1):
                 for combo in combinations(unused, k):
                     members = tuple(sub_children[j] for j in combo)
                     inst = _group_term(subject.functor, members, subject.id)
@@ -125,14 +181,16 @@ def _match_ac(pattern: App, subject: AApp, theta: Subst, full: bool):
                     else:
                         th2 = {**th, p.name: inst}
                     rest = tuple(j for j in unused if j not in combo)
-                    yield from assign(i + 1, rest, th2, insts + [inst])
+                    taken = sum(1 << j for j in combo)
+                    yield from assign(i + 1, rest, free - taken, th2, insts + [inst])
         else:
             for j in unused:
-                for th2, inst in _match_node(p, sub_children[j], th):
-                    rest = tuple(x for x in unused if x != j)
-                    yield from assign(i + 1, rest, th2, insts + [inst])
+                if fit >> j & 1:
+                    for th2, inst in _match_node(p, sub_children[j], th):
+                        rest = tuple(x for x in unused if x != j)
+                        yield from assign(i + 1, rest, free & ~(1 << j), th2, insts + [inst])
 
-    yield from assign(0, tuple(range(n)), theta, [])
+    yield from assign(0, tuple(range(n)), (1 << n) - 1, theta, [])
 
 
 def match(pattern: Term, subject: ATerm) -> Iterator[Subst]:

@@ -280,6 +280,7 @@ def enumerate_transitions(
 
     for path in positions(goal):
         node = subterm_at(goal, path)
+        context = None  # the conjunctive context at path, once a simpagation needs it
         foci: list[tuple[ATerm, tuple[int, ...] | None, tuple[ATerm, ...]]] = [
             (node, None, ())
         ]
@@ -301,7 +302,9 @@ def enumerate_transitions(
                         if theta is None:
                             continue
                         if rule.kind == SIMPAGATION:
-                            elements = conjunctive_context(goal, path)
+                            if context is None:
+                                context = conjunctive_context(goal, path)
+                            elements = context
                             if isinstance(node, AApp) and node.functor == AND:
                                 elements = elements + residual
                             theta_iter = _cc_matches(rule.cc_head, elements, theta, arrs)

@@ -1,4 +1,5 @@
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,26 @@ PROGRAMS = pathlib.Path(__file__).parent / "programs"
 
 def load_program(name):
     return parse_program((PROGRAMS / name).read_text(encoding="utf-8"))
+
+
+def count_calls(monkeypatch, module, name, limit=None):
+    """Count the calls to module.name for the rest of the test.
+
+    Returns an object whose `calls` attribute holds the count, so a test can
+    bound the work done instead of the wall time. With a limit, the call past
+    it raises AssertionError, so a runaway search fails instead of hanging.
+    """
+    counter = SimpleNamespace(calls=0)
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter.calls += 1
+        if limit is not None and counter.calls > limit:
+            raise AssertionError(f"{module.__name__}.{name} called more than {limit} times")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counter
 
 
 @pytest.fixture

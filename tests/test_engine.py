@@ -1,5 +1,8 @@
 import random
 
+import pytest
+from conftest import count_calls
+
 from acdterm import (
     AApp,
     App,
@@ -17,6 +20,7 @@ from acdterm import (
     strip,
     update_history,
 )
+from acdterm import matching
 from acdterm.engine import (
     BUDGET_EXHAUSTED,
     NORMAL_FORM,
@@ -293,3 +297,55 @@ def test_commutative_refire_random_property(leq_program):
         assert res.status == NORMAL_FORM
         fired = [ts.entry for ts in res.trace if ts.kind == "propagate"]
         assert len(fired) == len(set(fired))
+
+
+# --- AC matching work bounds ----------------------------------------------------
+
+CONSTANTS_40 = " /\\ ".join(f"c{i}" for i in range(40))
+
+
+@pytest.mark.parametrize(
+    "rule, goal",
+    [
+        ("r @ X /\\ false <=> false.", CONSTANTS_40),
+        ("r @ X /\\ Y /\\ false <=> false.", CONSTANTS_40),
+        ("r @ X /\\ f(Y) /\\ g(Y) <=> false.", CONSTANTS_40 + " /\\ f(a) /\\ g(b)"),
+        ("r @ X /\\ f(Y) /\\ f(Z) <=> false.", CONSTANTS_40 + " /\\ f(a)"),
+    ],
+    ids=["var_false", "two_vars_false", "shared_var_siblings", "distinct_siblings"],
+)
+def test_failing_ac_match_is_not_exponential(monkeypatch, rule, goal):
+    # enumerating the groups of X before the failing siblings costs 2^40;
+    # the bound is linear in the 40-43 goal positions
+    calls = count_calls(monkeypatch, matching, "_match_node", limit=200)
+    res = run(parse_program(rule), P(goal))
+    assert res.status == NORMAL_FORM
+    assert res.trace == ()
+    assert calls.calls > 0
+
+
+def test_leq_corpus_reaches_normal_form_on_five_cycle(monkeypatch, leq_program):
+    # the full corpus program, conj_false/conj_true included
+    calls = count_calls(monkeypatch, matching, "_match_node", limit=100_000)
+    goal = P(" /\\ ".join(f"leq(X{i},X{(i + 1) % 5})" for i in range(5)))
+    res = run(leq_program, goal)
+    assert res.status == NORMAL_FORM
+    assert calls.calls > 0
+    answer = strip(res.final.goal)
+    atoms = answer.args if isinstance(answer, App) and answer.functor == AND else (answer,)
+    parent = {f"X{i}": f"X{i}" for i in range(5)}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for atom in atoms:
+        assert isinstance(atom, App) and atom.functor in ("leq", "="), atom
+        left, right = atom.args
+        assert isinstance(left, Var) and isinstance(right, Var), atom
+        if atom.functor == "leq":
+            assert left != right, atom
+        else:
+            parent[find(left.name)] = find(right.name)
+    assert len({find(v) for v in parent}) == 1

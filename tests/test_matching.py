@@ -1,5 +1,8 @@
 import itertools
 import random
+import re
+
+from conftest import count_calls
 
 from acdterm import (
     App,
@@ -17,7 +20,8 @@ from acdterm import (
     pretty,
     strip,
 )
-from acdterm.matching import _instantiate
+from acdterm.matching import _group_term, _instantiate, _match_node, redexes_at
+from acdterm.terms import AC_FUNCTORS, AApp, ANum
 
 P = parse_term
 
@@ -164,6 +168,141 @@ def _b_plain(b):
     return strip(_b_to_aterm(b))
 
 
+# --- pruning keeps the enumeration order -----------------------------------------
+#
+# The reference enumerator is the AC matcher as it was before head-symbol and
+# feasibility pruning: it tries every subject child for a non-variable pattern
+# child and every group for a variable one. The pruned matcher must yield the
+# same sequence, element for element.
+
+
+def _ref_match_node(pattern, subject, theta):
+    if isinstance(pattern, Var):
+        bound = theta.get(pattern.name)
+        if bound is not None:
+            if ac_equal(bound, subject):
+                yield theta, subject
+        else:
+            yield {**theta, pattern.name: subject}, subject
+        return
+    if isinstance(pattern, Num):
+        if isinstance(subject, ANum) and subject.value == pattern.value:
+            yield theta, subject
+        return
+    if not isinstance(subject, AApp) or subject.functor != pattern.functor:
+        return
+    if pattern.functor in AC_FUNCTORS:
+        for theta2, inst, _unused in _ref_match_ac(pattern, subject, theta, full=True):
+            yield theta2, inst
+        return
+    if len(subject.args) != len(pattern.args):
+        return
+
+    def walk(i, th, insts):
+        if i == len(pattern.args):
+            yield th, AApp(subject.functor, tuple(insts), subject.id)
+            return
+        for th2, inst in _ref_match_node(pattern.args[i], subject.args[i], th):
+            yield from walk(i + 1, th2, insts + [inst])
+
+    yield from walk(0, theta, [])
+
+
+def _ref_match_ac(pattern, subject, theta, full):
+    pat_children = pattern.args
+    sub_children = subject.args
+
+    def assign(i, unused, th, insts):
+        if i == len(pat_children):
+            if full and unused:
+                return
+            yield th, AApp(subject.functor, tuple(insts), subject.id), unused
+            return
+        p = pat_children[i]
+        if isinstance(p, Var):
+            bound = th.get(p.name)
+            for k in range(1, len(unused) + 1):
+                for combo in itertools.combinations(unused, k):
+                    members = tuple(sub_children[j] for j in combo)
+                    inst = _group_term(subject.functor, members, subject.id)
+                    if bound is not None:
+                        if not ac_equal(bound, inst):
+                            continue
+                        th2 = th
+                    else:
+                        th2 = {**th, p.name: inst}
+                    rest = tuple(j for j in unused if j not in combo)
+                    yield from assign(i + 1, rest, th2, insts + [inst])
+        else:
+            for j in unused:
+                for th2, inst in _ref_match_node(p, sub_children[j], th):
+                    rest = tuple(x for x in unused if x != j)
+                    yield from assign(i + 1, rest, th2, insts + [inst])
+
+    yield from assign(0, tuple(range(len(sub_children))), theta, [])
+
+
+def _ref_redexes(node, head):
+    out = []
+    for theta, inst, unused in _ref_match_ac(head, node, {}, full=False):
+        if unused:
+            used = tuple(i + 1 for i in range(len(node.args)) if i not in unused)
+            out.append((theta, inst, used, tuple(node.args[i] for i in unused)))
+        else:
+            out.append((theta, inst, None, ()))
+    return out
+
+
+_PATTERN_CHILDREN = [
+    "X", "Y", "Z", "a", "b", "1", "2", "f(X)", "f(a)", "g(X,Y)", "g(Y,b)",
+    "X \\/ a", "Y \\/ Z", "a \\/ b", "X + 1",
+]
+_SUBJECT_CHILDREN = [
+    "a", "b", "c", "1", "2", "U", "f(a)", "f(b)", "f(U)", "g(a,b)", "g(b,b)",
+    "a \\/ b", "a \\/ b \\/ c", "b \\/ f(a)", "a + 1", "2 + 1 + c",
+]
+
+
+def test_pruned_matcher_keeps_reference_order():
+    rng = random.Random(53)
+    shapes = [
+        lambda: ["X", rng.choice(_PATTERN_CHILDREN[3:])],  # variable first
+        lambda: ["X", "Y", rng.choice(_PATTERN_CHILDREN[3:])],  # two variables
+        lambda: ["X", "X", rng.choice(_PATTERN_CHILDREN)],  # repeated variable
+        lambda: [rng.choice(["X \\/ a", "Y \\/ Z", "a \\/ b"]), "X"],  # nested AC
+        lambda: [rng.choice(["1", "2", "X + 1"]), "Y"],  # numbers
+        lambda: rng.sample(_PATTERN_CHILDREN, rng.randrange(2, 4)),
+    ]
+    full_matches = several_redexes = 0
+    for _ in range(200):
+        functor = rng.choice(["/\\", "+"])
+        children = rng.choice(shapes)()
+        if rng.random() < 0.3:
+            children.append(rng.choice(["f(Y)", "g(Y,Z)", "b"]))
+        pattern = app(functor, tuple(P(c) for c in children))
+        # children under the same functor would be flattened into a wider node
+        pool = [c for c in _SUBJECT_CHILDREN if f" {functor} " not in f" {c} "]
+        parts = [rng.choice(pool) for _ in range(rng.randrange(0, 4))]
+        if rng.random() < 0.5:
+            # an instance of the pattern among the children, so matches exist
+            inst = {v: rng.choice(pool) for v in "XYZ"}
+            parts += [re.sub(r"\b[XYZ]\b", lambda v: f"({inst[v.group()]})", c) for c in children]
+        else:
+            parts += [rng.choice(pool) for _ in range(rng.randrange(2, 4))]
+        rng.shuffle(parts)
+        subject = A(f" {functor} ".join(f"({c})" for c in parts[:5]))
+        where = (pretty(pattern), pretty(strip(subject)))
+        whole = list(_match_node(pattern, subject, {}))
+        assert whole == list(_ref_match_node(pattern, subject, {})), where
+        assert list(match(pattern, subject)) == [th for th, _inst in whole]
+        mine = [(r.theta, r.matched, r.selected, r.residual) for r in redexes_at(subject, pattern)]
+        ref = _ref_redexes(subject, pattern)
+        assert mine == ref, where
+        full_matches += bool(whole)
+        several_redexes += len(ref) > 1
+    assert full_matches >= 50 and several_redexes >= 60, (full_matches, several_redexes)
+
+
 # --- find_redexes ----------------------------------------------------------------
 
 
@@ -267,3 +406,13 @@ def test_guard_pure_function_of_bindings():
     slim = {"S": theta["S"], "T": theta["T"]}
     g = P("size(S) <= size(T)")
     assert guard_holds(g, theta) == guard_holds(g, slim)
+
+
+def test_ac_match_stops_when_a_sibling_has_no_candidate(monkeypatch):
+    # false fits no subject child, so no f(c_i) is ever tried against f(X)
+    from acdterm import matching
+
+    calls = count_calls(monkeypatch, matching, "_match_node")
+    subject = A(" /\\ ".join(f"f(c{i})" for i in range(20)))
+    assert list(match(P("f(X) /\\ false"), subject)) == []
+    assert calls.calls == 1
