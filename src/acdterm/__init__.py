@@ -1,7 +1,7 @@
 """AC term rewriting with conjunctive-context matching and propagation rules."""
 
 from .engine import entry_of, initial_state, run, step, update_history
-from .matching import find_redexes, guard_holds, match, match_cc
+from .matching import guard_holds, match, match_cc
 from .oracle import (
     OracleSizeError,
     enumerate_transitions,
@@ -24,10 +24,10 @@ from .terms import (
     canonical,
     conjunctive_context,
     ids_of,
-    positions,
     replace_at,
     size,
     strip,
     subterm_at,
+    subterms,
     vars_of,
 )

@@ -27,14 +27,20 @@ from .terms import canonical, strip
 DEFAULT_MAX_STEPS = 10_000
 
 
-def _load_program(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            source = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise SystemExit(f"acdterm: cannot read {path}: {exc.strerror}") from exc
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
+    raise SystemExit(f"acdterm: cannot read {path}: {reason}")
+
+
+def _load_program(path: str):
     try:
-        return parse_program(source)
+        return parse_program(_read(path))
     except ParseError as exc:
         raise SystemExit(f"{path}:{exc}") from exc
 
@@ -43,12 +49,7 @@ def _load_goal(args):
     if args.goal is not None:
         source, origin = args.goal, "<goal>"
     else:
-        try:
-            with open(args.goal_file, encoding="utf-8") as fh:
-                source = fh.read()
-        except OSError as exc:
-            raise SystemExit(f"acdterm: cannot read {args.goal_file}: {exc.strerror}")
-        origin = args.goal_file
+        source, origin = _read(args.goal_file), args.goal_file
     try:
         return parse_term(source)
     except ParseError as exc:
@@ -157,7 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error and exits 2, which here means
+        # an exhausted step budget; -h exits 0
+        return 1 if exc.code else 0
     if getattr(args, "max_steps", None) is None and args.command == "run":
         args.max_steps = _default_max_steps()
     if args.command == "run" and args.max_steps <= 0:

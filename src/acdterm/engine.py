@@ -21,6 +21,7 @@ from .terms import (
     AC_FUNCTORS,
     AND,
     AApp,
+    App,
     ATerm,
     Position,
     Term,
@@ -28,10 +29,9 @@ from .terms import (
     aapp,
     annotate_from,
     conjunctive_context,
-    positions,
     replace_at,
     strip,
-    subterm_at,
+    subterms,
     vars_of,
 )
 
@@ -122,19 +122,32 @@ def update_history(
     those of body_inst at q is applied to every entry mentioning a renamed
     identifier, and the renamed entry is added.
     """
+    return _rename(h0, _renamings(_occurrences(head, head_inst), body, body_inst))
+
+
+def _occurrences(pattern: Term, inst: ATerm) -> Iterator[tuple[str, ATerm]]:
+    """(variable name, instance subtree) for each variable occurrence of a
+    pattern, in preorder, walking the pattern and its aligned instance together."""
+    if isinstance(pattern, Var):
+        yield pattern.name, inst
+    elif isinstance(pattern, App):
+        for p, s in zip(pattern.args, inst.args):
+            yield from _occurrences(p, s)
+
+
+def _renamings(bound, body: Term, body_inst: ATerm) -> list[dict[int, int]]:
+    """Identifier renamings from each bound (name, instance subtree) occurrence
+    onto every copy of that variable in the annotated body instance."""
+    copies: dict[str, list[ATerm]] = {}
+    for name, copy in _occurrences(body, body_inst):
+        copies.setdefault(name, []).append(copy)
     renamings: list[dict[int, int]] = []
-    for p in positions(head):
-        hsub = subterm_at(head, p)
-        if not isinstance(hsub, Var):
-            continue
-        for q in positions(body):
-            if subterm_at(body, q) != hsub:
-                continue
+    for name, inst in bound:
+        for copy in copies.get(name, ()):
             rho: dict[int, int] = {}
-            _zip_ids(subterm_at(head_inst, p), subterm_at(body_inst, q), rho)
-            if rho:
-                renamings.append(rho)
-    return _rename(h0, renamings)
+            _zip_ids(inst, copy, rho)
+            renamings.append(rho)
+    return renamings
 
 
 def _rename(
@@ -182,6 +195,7 @@ def _successor(
     rule: Rule,
     state: EngineState,
     path: Position,
+    node: ATerm,
     selected: tuple[int, ...] | None,
     matched: ATerm | None,
     body: ATerm,
@@ -195,7 +209,7 @@ def _successor(
     first identifier it left unused and `history` the renamed history. A
     propagation (`entry` given) conjoins the matched head instance with the
     body and records the entry. The result replaces the selected children of
-    the node at path, or the whole node when `selected` is None.
+    `node`, the goal node at path, or the whole node when `selected` is None.
     """
     replacement = _flatten_annotated(body)
     if entry is not None:
@@ -203,7 +217,7 @@ def _successor(
         replacement = aapp(AND, (matched, replacement), next_id)
         next_id += 1
     if selected is not None:
-        replacement = _splice(subterm_at(state.goal, path), selected, replacement)
+        replacement = _splice(node, selected, replacement)
     goal = replace_at(state.goal, replacement, path)
     ts = TraceStep(
         index=1,
@@ -217,11 +231,11 @@ def _successor(
 
 
 def _try_rule_at(
-    rule: Rule, state: EngineState, path: Position
+    rule: Rule, state: EngineState, path: Position, node: ATerm
 ) -> tuple[EngineState, TraceStep] | None:
-    """First applicable redex of one rule anchored at the node at path, applied."""
+    """First applicable redex of one rule anchored at `node`, the goal node at
+    path, applied."""
     goal = state.goal
-    node = subterm_at(goal, path)
     conjunction_node = isinstance(node, AApp) and node.functor == AND
     for redex in redexes_at(node, rule.head):
         if rule.kind == SIMPAGATION:
@@ -243,7 +257,8 @@ def _try_rule_at(
             body, next_id = annotate_from(body_plain, state.next_id)
             history = update_history(rule.head, redex.matched, rule.body, body, state.history)
             return _successor(
-                rule, state, path, redex.selected, redex.matched, body, next_id, history, entry
+                rule, state, path, node, redex.selected, redex.matched,
+                body, next_id, history, entry,
             )
     return None
 
@@ -255,10 +270,10 @@ def initial_state(goal: Term) -> EngineState:
 
 def step(state: EngineState, program: Program) -> tuple[EngineState, TraceStep] | None:
     """One transition: textually first rule at its first redex, or None."""
-    all_positions = positions(state.goal)
+    nodes = subterms(state.goal)
     for rule in program.rules:
-        for path in all_positions:
-            fired = _try_rule_at(rule, state, path)
+        for path, node in nodes:
+            fired = _try_rule_at(rule, state, path, node)
             if fired is not None:
                 return fired
     return None

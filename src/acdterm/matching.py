@@ -32,15 +32,12 @@ from .terms import (
     App,
     ATerm,
     Num,
-    Position,
     Term,
     Var,
     ac_equal,
     canonical,
-    positions,
     size,
     strip,
-    subterm_at,
 )
 
 Subst = dict[str, ATerm]
@@ -48,17 +45,16 @@ Subst = dict[str, ATerm]
 
 @dataclass(frozen=True)
 class Redex:
-    """A rule-head occurrence in a goal.
+    """A rule-head occurrence anchored at a goal node.
 
-    `path` addresses a goal node. For a match against a submultiset of an AC
-    node's children, `selected` holds the consumed child indices (1-based,
-    ascending) and `residual` the remaining children; for a whole-node match
-    `selected` is None. `matched` is the head instance, aligned node-for-node
-    with the pattern (AC groups bound to one variable stay nested), so entry
-    and history computations can traverse it in matched order.
+    For a match against a submultiset of an AC node's children, `selected`
+    holds the consumed child indices (1-based, ascending) and `residual` the
+    remaining children; for a whole-node match `selected` is None. `matched`
+    is the head instance, aligned node-for-node with the pattern (AC groups
+    bound to one variable stay nested), so entry and history computations can
+    traverse it in matched order.
     """
 
-    path: Position
     selected: tuple[int, ...] | None
     theta: Subst
     matched: ATerm
@@ -200,7 +196,7 @@ def match(pattern: Term, subject: ATerm) -> Iterator[Subst]:
 
 
 def redexes_at(node: ATerm, head: Term) -> Iterator[Redex]:
-    """Redexes anchored at this node (path is relative, always ())."""
+    """Redexes anchored at this node."""
     if (
         isinstance(head, App)
         and head.functor in AC_FUNCTORS
@@ -213,20 +209,12 @@ def redexes_at(node: ATerm, head: Term) -> Iterator[Redex]:
                     i + 1 for i in range(len(node.args)) if i not in unused
                 )
                 residual = tuple(node.args[i] for i in unused)
-                yield Redex((), used, theta, inst, residual)
+                yield Redex(used, theta, inst, residual)
             else:
-                yield Redex((), None, theta, inst, ())
+                yield Redex(None, theta, inst, ())
         return
     for theta, inst in _match_node(head, node, {}):
-        yield Redex((), None, theta, inst, ())
-
-
-def find_redexes(goal: ATerm, head: Term) -> Iterator[Redex]:
-    """All redexes of a head in a goal, in preorder position order."""
-    for path in positions(goal):
-        node = subterm_at(goal, path)
-        for r in redexes_at(node, head):
-            yield Redex(path, r.selected, r.theta, r.matched, r.residual)
+        yield Redex(None, theta, inst, ())
 
 
 def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:

@@ -18,8 +18,8 @@ from .engine import (
     HistoryEntry,
     TraceStep,
     _rename,
+    _renamings,
     _successor,
-    _zip_ids,
     initial_state,
 )
 from .matching import _instantiate, guard_holds
@@ -40,10 +40,9 @@ from .terms import (
     annotate_from,
     canonical,
     conjunctive_context,
-    positions,
     size,
     strip,
-    subterm_at,
+    subterms,
     vars_of,
 )
 
@@ -166,20 +165,6 @@ def _match_b(pattern, subject, theta, occ):
     return theta
 
 
-def _renamings(occ, body: Term, body_a: ATerm) -> list[dict[int, int]]:
-    """Identifier renamings from each bound head occurrence to the body's copies."""
-    renamings = []
-    for name, bound_b in occ:
-        bound = _b_to_aterm(bound_b)
-        for q in positions(body):
-            if subterm_at(body, q) == Var(name):
-                rho: dict[int, int] = {}
-                _zip_ids(bound, subterm_at(body_a, q), rho)
-                if rho:
-                    renamings.append(rho)
-    return renamings
-
-
 def _root_ok(head: Term, focus: ATerm) -> bool:
     """Cheap sound pre-filter before arrangement enumeration."""
     if isinstance(head, Var):
@@ -278,8 +263,7 @@ def enumerate_transitions(
     successors: list[tuple[EngineState, TraceStep]] = []
     seen = set()
 
-    for path in positions(goal):
-        node = subterm_at(goal, path)
+    for path, node in subterms(goal):
         context = None  # the conjunctive context at path, once a simpagation needs it
         foci: list[tuple[ATerm, tuple[int, ...] | None, tuple[ATerm, ...]]] = [
             (node, None, ())
@@ -321,12 +305,14 @@ def enumerate_transitions(
                                     continue
                             body_plain = _instantiate(rule.body, th_terms, goal_vars)
                             body, next_id = annotate_from(body_plain, state.next_id)
+                            bound = ((name, _b_to_aterm(b)) for name, b in occ)
                             history = _rename(
-                                state.history, _renamings(occ, rule.body, body)
+                                state.history, _renamings(bound, rule.body, body)
                             )
                             matched = _b_to_aterm(s_arr) if entry is not None else None
                             succ, ts = _successor(
-                                rule, state, path, selected, matched, body, next_id, history, entry
+                                rule, state, path, node, selected, matched,
+                                body, next_id, history, entry,
                             )
                             key = (
                                 rule.name,

@@ -191,12 +191,12 @@ def replace_at(t, s, p: Position):
     return app(t.functor, new_args)
 
 
-def positions(t) -> list[Position]:
-    """All positions of t in preorder; () is always first."""
-    out: list[Position] = []
+def subterms(t) -> list[tuple[Position, object]]:
+    """The (position, subterm) pairs of t in preorder; ((), t) is always first."""
+    out: list[tuple[Position, object]] = []
 
     def walk(node, path: Position):
-        out.append(path)
+        out.append((path, node))
         for i, a in enumerate(_children(node), start=1):
             walk(a, path + (i,))
 

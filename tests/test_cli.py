@@ -165,3 +165,25 @@ def test_deeply_nested_goal(tmp_path, capsys):
 def test_invalid_max_steps(capsys):
     code = main(["run", "-p", prog("empty.acd"), "-g", "a", "--max-steps", "0"])
     assert code == 1
+
+
+def test_unreadable_utf8_files(tmp_path, capsys):
+    bad = tmp_path / "bad.acd"
+    bad.write_bytes(b"\xff\xfe r @ a <=> b.\n")
+    for argv in (
+        ["run", "-p", str(bad), "-g", "a"],
+        ["run", "-p", prog("empty.acd"), "-G", str(bad)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"acdterm: cannot read {bad}: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+
+def test_usage_errors_exit_1(capsys):
+    # 2 is the exit code of an exhausted step budget
+    assert main(["run", "-g", "a"]) == 1
+    assert main(["run", "-p", prog("empty.acd"), "-g", "a", "--max-steps", "x"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert main(["-h"]) == 0
+    assert "usage:" in capsys.readouterr().out

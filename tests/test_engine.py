@@ -20,7 +20,7 @@ from acdterm import (
     strip,
     update_history,
 )
-from acdterm import matching
+from acdterm import engine, matching
 from acdterm.engine import (
     BUDGET_EXHAUSTED,
     NORMAL_FORM,
@@ -115,6 +115,14 @@ def test_step_antisymmetry_simpagation(leq_program):
     assert ts.rule == "antisymmetry" and ts.kind == "simpagate"
     variants = [P("leq(A,B) /\\ (A = B)"), P("(B = A) /\\ leq(B,A)")]
     assert any(ac_equal(ts.goal_after, v) for v in variants)
+
+
+def test_step_fires_at_first_preorder_path():
+    # preorder takes f(f(a)) before its argument and both before f(a);
+    # postorder or breadth-first order would give another trace
+    prog = parse_program("r @ f(X) <=> g(X).")
+    res = run(prog, P("f(f(a)) /\\ f(a)"))
+    assert [ts.path for ts in res.trace] == [(1,), (1, 1), (2,)]
 
 
 def test_step_none_when_final():
@@ -327,10 +335,13 @@ def test_failing_ac_match_is_not_exponential(monkeypatch, rule, goal):
 def test_leq_corpus_reaches_normal_form_on_five_cycle(monkeypatch, leq_program):
     # the full corpus program, conj_false/conj_true included
     calls = count_calls(monkeypatch, matching, "_match_node", limit=100_000)
+    walks = count_calls(monkeypatch, engine, "subterms")
     goal = P(" /\\ ".join(f"leq(X{i},X{(i + 1) % 5})" for i in range(5)))
     res = run(leq_program, goal)
     assert res.status == NORMAL_FORM
     assert calls.calls > 0
+    # one walk of the goal per step, the last one finding no redex
+    assert walks.calls == len(res.trace) + 1
     answer = strip(res.final.goal)
     atoms = answer.args if isinstance(answer, App) and answer.functor == AND else (answer,)
     parent = {f"X{i}": f"X{i}" for i in range(5)}

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import pytest
 from conftest import count_calls
 
 from acdterm import (
@@ -12,13 +13,13 @@ from acdterm import (
     annotate,
     app,
     canonical,
-    find_redexes,
     guard_holds,
     match,
     match_cc,
     parse_term,
     pretty,
     strip,
+    subterms,
 )
 from acdterm.matching import _group_term, _instantiate, _match_node, redexes_at
 from acdterm.terms import AC_FUNCTORS, AApp, ANum
@@ -303,36 +304,31 @@ def test_pruned_matcher_keeps_reference_order():
     assert full_matches >= 50 and several_redexes >= 60, (full_matches, several_redexes)
 
 
-# --- find_redexes ----------------------------------------------------------------
+# --- redexes_at ------------------------------------------------------------------
 
 
-def test_find_redexes_submultiset_with_residual():
-    goal = A("leq(A,B) /\\ leq(B,A) /\\ X")
-    head = P("leq(X,Y) /\\ leq(Y,Z)")
-    redexes = list(find_redexes(goal, head))
-    assert redexes
-    for r in redexes:
-        assert r.path == ()
-        assert r.selected == (1, 2)
-        assert [strip(x) for x in r.residual] == [Var("X")]
-
-
-def test_find_redexes_non_ac_head():
-    goal = A("f(a) /\\ g(b)")
-    redexes = list(find_redexes(goal, P("f(X)")))
-    assert len(redexes) == 1
-    assert redexes[0].path == (1,)
-
-
-def test_find_redexes_pattern_larger_than_subject():
-    goal = A("a /\\ b")
-    assert list(find_redexes(goal, P("a /\\ b /\\ c"))) == []
-
-
-def test_find_redexes_preorder_enumeration():
-    goal = A("f(a) /\\ f(f(a))")
-    paths = [r.path for r in find_redexes(goal, P("f(X)"))]
-    assert paths == [(1,), (2,), (2, 1)]
+@pytest.mark.parametrize(
+    "goal, head, expected",
+    [
+        # both matches select the two leq children and leave X as residual
+        (
+            "leq(A,B) /\\ leq(B,A) /\\ X",
+            "leq(X,Y) /\\ leq(Y,Z)",
+            [((), (1, 2), [Var("X")])] * 2,
+        ),
+        # a non-AC head matches whole nodes only, not the children of an AC node
+        ("f(a) /\\ g(b)", "f(X)", [((1,), None, [])]),
+        ("a /\\ b", "a /\\ b /\\ c", []),
+    ],
+    ids=["submultiset_with_residual", "non_ac_head", "pattern_larger_than_subject"],
+)
+def test_redexes_at(goal, head, expected):
+    found = [
+        (path, r.selected, [strip(x) for x in r.residual])
+        for path, node in subterms(A(goal))
+        for r in redexes_at(node, P(head))
+    ]
+    assert found == expected
 
 
 # --- match_cc ----------------------------------------------------------------------

@@ -204,12 +204,11 @@ def _naive_simplification_results(rules, goal):
     """All goals reachable in one simplification step, canonical, by global
     rearrangement and plain syntactic matching (guards are not interpreted,
     so only guard-free rules may be passed in)."""
-    from acdterm import replace_at, positions as term_positions, subterm_at, app as mk
+    from acdterm import replace_at, subterms
 
     results = set()
     for g in _all_rearrangements(goal):
-        for path in term_positions(g):
-            focus = subterm_at(g, path)
+        for path, focus in subterms(g):
             for lhs, rhs in rules:
                 for lhs_arr in _all_rearrangements(lhs):
                     binding = _syntactic_match(lhs_arr, focus, {})

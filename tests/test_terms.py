@@ -15,12 +15,12 @@ from acdterm import (
     conjunctive_context,
     ids_of,
     parse_term,
-    positions,
     pretty,
     replace_at,
     size,
     strip,
     subterm_at,
+    subterms,
     vars_of,
 )
 
@@ -89,23 +89,26 @@ def test_replace_subterm_round_trip():
     rng = random.Random(7)
     for _ in range(100):
         t = random_term(rng)
-        for p in positions(t):
+        for p, _node in subterms(t):
             assert replace_at(t, subterm_at(t, p), p) == t
 
 
 def test_positions():
-    assert positions(Var("X")) == [()]
-    assert set(positions(P("f(a,b)"))) == {(), (1,), (2,)}
-    assert set(positions(P("f(g(X))"))) == {(), (1,), (1, 1)}
+    assert subterms(Var("X")) == [((), Var("X"))]
+    assert subterms(P("f(a,b)")) == [((), P("f(a,b)")), ((1,), App("a")), ((2,), App("b"))]
+    assert [p for p, _node in subterms(P("f(g(X))"))] == [(), (1,), (1, 1)]
 
 
 def test_positions_one_per_node():
     rng = random.Random(11)
     for _ in range(50):
         t = random_term(rng)
-        ps = positions(t)
+        pairs = subterms(t)
+        ps = [p for p, _node in pairs]
         assert len(ps) == len(set(ps))
-        assert ps[0] == ()
+        assert pairs[0] == ((), t)
+        for p, node in pairs:
+            assert node is subterm_at(t, p)
 
 
 # --- vars / size -------------------------------------------------------------
@@ -148,7 +151,7 @@ def test_size_matches_naive_binary_counter():
 def test_annotate_fresh_and_complete():
     t = P("f(a,b)")
     ta = annotate(0, t)
-    assert len(ids_of(ta)) == len(positions(t))
+    assert len(ids_of(ta)) == len(subterms(t))
     assert strip(ta) == t
 
 
@@ -165,7 +168,7 @@ def test_annotate_strip_round_trip_property():
         ta = annotate(used, t)
         assert strip(ta) == t
         assert not (ids_of(ta) & used)
-        assert len(ids_of(ta)) == len(positions(t))
+        assert len(ids_of(ta)) == len(subterms(t))
 
 
 # --- AC equality ---------------------------------------------------------------
@@ -223,8 +226,8 @@ def test_cc_excludes_focus_and_descendants():
     for _ in range(60):
         t = random_term(rng)
         ta = annotate(0, t)
-        for p in positions(ta):
-            focus_ids = ids_of(subterm_at(ta, p))
+        for p, focus in subterms(ta):
+            focus_ids = ids_of(focus)
             for c in conjunctive_context(ta, p):
                 assert not (ids_of(c) & focus_ids)
 
