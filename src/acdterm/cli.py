@@ -7,8 +7,10 @@
 
 Exit codes: 0 normal form reached (or check passed), 2 step budget exhausted,
 1 parse or usage error (a term nested too deeply for the recursive parser,
-engine or printer included). The final goal is printed to stdout; the trace goes
-to stderr or to --trace-out.
+engine or printer, and a --max-steps, --depth or --width that is not a positive
+integer included). Program and goal files are read as UTF-8, with or without a
+byte-order mark. The final goal is printed to stdout; the trace goes to stderr
+or to --trace-out.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ DEFAULT_MAX_STEPS = 10_000
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         reason = exc.strerror
@@ -67,6 +69,13 @@ def _default_max_steps() -> int:
             pass
         print(f"acdterm: ignoring invalid ACDTERM_MAX_STEPS={env!r}", file=sys.stderr)
     return DEFAULT_MAX_STEPS
+
+
+def _positive(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
 
 
 def _add_goal_options(sub):
@@ -137,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="rewrite a goal to normal form")
     _add_goal_options(p_run)
-    p_run.add_argument("--max-steps", type=int, default=None, metavar="N")
+    p_run.add_argument("--max-steps", type=_positive, default=None, metavar="N")
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--trace-out", metavar="FILE")
     p_run.add_argument("--print-ids", action="store_true")
@@ -150,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive normal-form search (debugging)")
     _add_goal_options(p_oracle)
-    p_oracle.add_argument("--depth", type=int, default=20)
-    p_oracle.add_argument("--width", type=int, default=10_000)
+    p_oracle.add_argument("--depth", type=_positive, default=20, metavar="N")
+    p_oracle.add_argument("--width", type=_positive, default=10_000, metavar="N")
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     return ap
@@ -166,9 +175,6 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     if getattr(args, "max_steps", None) is None and args.command == "run":
         args.max_steps = _default_max_steps()
-    if args.command == "run" and args.max_steps <= 0:
-        print("acdterm: --max-steps must be positive", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except RecursionError:

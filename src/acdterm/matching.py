@@ -35,7 +35,7 @@ from .terms import (
     Term,
     Var,
     ac_equal,
-    canonical,
+    ac_key,
     size,
     strip,
 )
@@ -333,7 +333,7 @@ def guard_holds(guard: Term, theta: Subst) -> bool:
         if f == "!==" and n == 2:
             lhs = _instantiate(guard.args[0], theta, frozenset())
             rhs = _instantiate(guard.args[1], theta, frozenset())
-            return canonical(lhs) != canonical(rhs)
+            return ac_key(lhs) != ac_key(rhs)
         if f in _COMPARISONS and n == 2:
             lhs = _arith(_instantiate(guard.args[0], theta, frozenset()))
             rhs = _arith(_instantiate(guard.args[1], theta, frozenset()))

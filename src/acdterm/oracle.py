@@ -35,13 +35,12 @@ from .terms import (
     Num,
     Term,
     Var,
-    _order_key,
     aapp,
+    ac_key,
     annotate_from,
     canonical,
     conjunctive_context,
     size,
-    strip,
     subterms,
     vars_of,
 )
@@ -317,7 +316,7 @@ def enumerate_transitions(
                             key = (
                                 rule.name,
                                 ts.kind,
-                                canonical(ts.goal_after),
+                                ac_key(ts.goal_after),
                                 ts.entry,
                                 succ.history,
                             )
@@ -335,7 +334,7 @@ def _sorted_goal(t: ATerm) -> ATerm:
         return t
     args = tuple(_sorted_goal(a) for a in t.args)
     if t.functor in AC_FUNCTORS:
-        args = tuple(sorted(args, key=lambda a: (_order_key(strip(a)), a.id)))
+        args = tuple(sorted(args, key=lambda a: (ac_key(a), a.id)))
     return AApp(t.functor, args, t.id)
 
 
@@ -401,7 +400,7 @@ def search_normal_forms(
                 truncated = True
                 continue
             if not succs:
-                normal.add(canonical(strip(st.goal)))
+                normal.add(canonical(st.goal))
                 continue
             for succ, _ts in succs:
                 r = _relabel(succ)
@@ -427,7 +426,7 @@ def first_divergence(program: Program, goal: Term, trace) -> int | None:
     """
     frontier = [_relabel(initial_state(goal))]
     for ts in trace:
-        target = canonical(ts.goal_after)
+        target = ac_key(ts.goal_after)
         nxt: list[EngineState] = []
         seen = set()
         for st in frontier:
@@ -435,7 +434,7 @@ def first_divergence(program: Program, goal: Term, trace) -> int | None:
                 if (
                     sts.rule == ts.rule
                     and sts.kind == ts.kind
-                    and canonical(sts.goal_after) == target
+                    and ac_key(sts.goal_after) == target
                 ):
                     r = _relabel(succ)
                     key = (r.goal, r.history)

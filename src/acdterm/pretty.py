@@ -6,29 +6,17 @@ parse_term(pretty(t)) is structurally equal to t.
 
 from __future__ import annotations
 
+from .parser import _BINOPS
 from .terms import AApp, ANum, App, ATerm, AVar, Num, Term, Var
 
-_INFIX = {
-    "\\/": 100,
-    "/\\": 200,
-    "=": 300,
-    "!=": 300,
-    "!==": 300,
-    "<=": 300,
-    "<": 300,
-    ">=": 300,
-    ">": 300,
-    "+": 400,
-    "*": 500,
-}
 _PREFIX_PREC = 600
 _ATOM_PREC = 1000
 
 
 def _prec(t) -> int:
     if isinstance(t, (App, AApp)) and t.args:
-        if t.functor in _INFIX:
-            return _INFIX[t.functor]
+        if t.functor in _BINOPS:
+            return _BINOPS[t.functor]
         if t.functor == "~" and len(t.args) == 1:
             return _PREFIX_PREC
     return _ATOM_PREC
@@ -40,8 +28,8 @@ def _render(t, ids: bool) -> str:
         return t.name + suffix
     if isinstance(t, (Num, ANum)):
         return str(t.value) + suffix
-    if t.args and t.functor in _INFIX:
-        prec = _INFIX[t.functor]
+    if t.args and t.functor in _BINOPS:
+        prec = _BINOPS[t.functor]
         parts = []
         for a in t.args:
             s = _render(a, ids)

@@ -1,5 +1,5 @@
-"""Term representation: plain terms, annotated terms, positions, AC canonical
-forms and conjunctive contexts.
+"""Term representation: plain terms, annotated terms, positions, AC keys and
+canonical forms, and conjunctive contexts.
 
 Terms are immutable. Operators in AC_FUNCTORS are kept flattened: an AC node
 never has a direct child with the same functor and always has at least two
@@ -230,48 +230,53 @@ def size(t) -> int:
     return n + 1
 
 
-# --- AC canonical form -----------------------------------------------------
+# --- AC keys and canonical form --------------------------------------------
 
 
-def _order_key(t: Term):
-    if isinstance(t, Var):
-        return (0, t.name)
-    if isinstance(t, Num):
-        return (1, t.value)
-    return (2, t.functor, len(t.args), tuple(_order_key(a) for a in t.args))
+def ac_key(t) -> tuple:
+    """Total-order key of t's AC congruence class (plain or annotated t).
 
-
-def canonical(t: Term) -> Term:
-    """Canonical representative of t's AC congruence class.
-
-    AC nodes are flattened (tolerating non-flattened input) and their
-    children sorted by a total order on terms; two terms are AC-equal iff
-    their canonical forms are structurally equal.
+    (0, name) for a variable, (1, value) for a number and
+    (2, functor, n, child keys) for an application, where the children of
+    an AC node are flattened (tolerating non-flattened input) and their keys
+    sorted. Two terms are AC-equal iff their keys are equal.
     """
-    if isinstance(t, (Var, Num)):
-        return t
-    args = tuple(canonical(a) for a in t.args)
-    if t.functor in AC_FUNCTORS:
-        flat: list[Term] = []
-        for a in args:
-            if isinstance(a, App) and a.functor == t.functor:
-                flat.extend(a.args)
-            else:
-                flat.append(a)
-        return App(t.functor, tuple(sorted(flat, key=_order_key)))
-    return App(t.functor, args)
+    if isinstance(t, (Var, AVar)):
+        return (0, t.name)
+    if isinstance(t, (Num, ANum)):
+        return (1, t.value)
+    f = t.functor
+    if f not in AC_FUNCTORS:
+        return (2, f, len(t.args), tuple(map(ac_key, t.args)))
+    keys: list[tuple] = []
+    stack = list(t.args)
+    while stack:
+        a = stack.pop()
+        if isinstance(a, (App, AApp)) and a.functor == f:
+            stack.extend(a.args)
+        else:
+            keys.append(ac_key(a))
+    keys.sort()
+    return (2, f, len(keys), tuple(keys))
+
+
+def _from_key(k: tuple) -> Term:
+    if k[0] == 0:
+        return Var(k[1])
+    if k[0] == 1:
+        return Num(k[1])
+    return App(k[1], tuple(map(_from_key, k[3])))
+
+
+def canonical(t) -> Term:
+    """Canonical plain representative of t's AC congruence class: AC nodes
+    flattened and their children in ac_key order."""
+    return _from_key(ac_key(t))
 
 
 def ac_equal(t1, t2) -> bool:
-    """Equality modulo associativity and commutativity of the AC operators.
-
-    Annotated arguments are compared on their stripped terms.
-    """
-    if isinstance(t1, (AVar, ANum, AApp)):
-        t1 = strip(t1)
-    if isinstance(t2, (AVar, ANum, AApp)):
-        t2 = strip(t2)
-    return canonical(t1) == canonical(t2)
+    """Equality modulo associativity and commutativity of the AC operators."""
+    return ac_key(t1) == ac_key(t2)
 
 
 # --- conjunctive context ---------------------------------------------------

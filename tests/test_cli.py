@@ -165,6 +165,21 @@ def test_deeply_nested_goal(tmp_path, capsys):
 def test_invalid_max_steps(capsys):
     code = main(["run", "-p", prog("empty.acd"), "-g", "a", "--max-steps", "0"])
     assert code == 1
+    for option, value in (("--depth", "-1"), ("--width", "0")):
+        code = main(["oracle", "-p", prog("empty.acd"), "-g", "a", option, value])
+        assert code == 1
+        assert f"argument {option}: must be a positive integer" in capsys.readouterr().err
+
+
+def test_byte_order_mark_files(tmp_path, capsys):
+    program = tmp_path / "bom.acd"
+    program.write_bytes(b"\xef\xbb\xbfr @ a <=> b.\n")
+    goal = tmp_path / "bom.goal"
+    goal.write_bytes(b"\xef\xbb\xbfa\n")
+    assert main(["run", "-p", str(program), "-g", "a"]) == 0
+    assert capsys.readouterr().out.strip() == "b"
+    assert main(["run", "-p", prog("empty.acd"), "-G", str(goal)]) == 0
+    assert capsys.readouterr().out.strip() == "a"
 
 
 def test_unreadable_utf8_files(tmp_path, capsys):

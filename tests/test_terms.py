@@ -23,6 +23,7 @@ from acdterm import (
     subterms,
     vars_of,
 )
+from acdterm.terms import AC_FUNCTORS, ac_key, annotate_from
 
 P = parse_term
 
@@ -195,6 +196,66 @@ def test_canonical_idempotent_and_equivalence():
     for t in sample:
         for s in sample:
             assert ac_equal(t, s) == ac_equal(s, t)
+
+
+def _ref_order_key(t):
+    if isinstance(t, Var):
+        return (0, t.name)
+    if isinstance(t, Num):
+        return (1, t.value)
+    return (2, t.functor, len(t.args), tuple(_ref_order_key(a) for a in t.args))
+
+
+def _ref_canonical(t):
+    if isinstance(t, (Var, Num)):
+        return t
+    args = tuple(_ref_canonical(a) for a in t.args)
+    if t.functor in AC_FUNCTORS:
+        flat = []
+        for a in args:
+            if isinstance(a, App) and a.functor == t.functor:
+                flat.extend(a.args)
+            else:
+                flat.append(a)
+        return App(t.functor, tuple(sorted(flat, key=_ref_order_key)))
+    return App(t.functor, args)
+
+
+def _renest(rng, t):
+    """An AC-equal copy of t whose AC children are shuffled and regrouped
+    into nested nodes of the same functor, left unflattened."""
+    if not isinstance(t, App):
+        return t
+    args = [_renest(rng, a) for a in t.args]
+    if t.functor in AC_FUNCTORS:
+        rng.shuffle(args)
+        while len(args) > 2 and rng.random() < 0.8:
+            i = rng.randrange(len(args) - 1)
+            args[i : i + 2] = [App(t.functor, (args[i], args[i + 1]))]
+    return App(t.functor, tuple(args))
+
+
+def test_canonical_matches_reference():
+    # the reference is the earlier canonical form, which sorted AC children
+    # by an order key over plain terms; _relabel and printed goals depend on
+    # that order
+    rng = random.Random(23)
+    pairs = []
+    for _ in range(400):
+        t = random_term(rng)
+        pairs.append((t, _renest(rng, t)))
+    for t, s in pairs:
+        ref = _ref_canonical(t)
+        assert _ref_canonical(s) == ref
+        for u in (t, s, annotate_from(t, 0)[0], annotate_from(s, 0)[0]):
+            assert canonical(u) == ref
+            assert ac_key(u) == _ref_order_key(ref)
+    for t, s in pairs[:40]:
+        for u, v in pairs[:40]:
+            assert ac_equal(t, v) == (_ref_canonical(t) == _ref_canonical(v))
+            assert ac_equal(annotate_from(s, 0)[0], u) == (
+                _ref_canonical(s) == _ref_canonical(u)
+            )
 
 
 # --- conjunctive context -------------------------------------------------------
