@@ -8,9 +8,10 @@
 Exit codes: 0 normal form reached (or check passed), 2 step budget exhausted,
 1 parse or usage error (a term nested too deeply for the recursive parser,
 engine or printer, and a --max-steps, --depth or --width that is not a positive
-integer included). Program and goal files are read as UTF-8, with or without a
-byte-order mark. The final goal is printed to stdout; the trace goes to stderr
-or to --trace-out.
+integer included) or, for `oracle`, a goal beyond the oracle's size bounds.
+Program and goal files are read as UTF-8, with or without a byte-order mark.
+The final goal is printed to stdout; the trace goes to stderr or to
+--trace-out.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ import os
 import sys
 
 from . import oracle as oracle_mod
-from .engine import BUDGET_EXHAUSTED, format_step, run, step_record
+from .engine import BUDGET_EXHAUSTED, DEFAULT_MAX_STEPS, format_step, run, step_record
 from .parser import ParseError, parse_program, parse_term
 from .pretty import pretty
 from .terms import canonical, strip
-
-DEFAULT_MAX_STEPS = 10_000
 
 
 def _read(path: str) -> str:
@@ -159,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive normal-form search (debugging)")
     _add_goal_options(p_oracle)
-    p_oracle.add_argument("--depth", type=_positive, default=20, metavar="N")
-    p_oracle.add_argument("--width", type=_positive, default=10_000, metavar="N")
+    p_oracle.add_argument("--depth", type=_positive, default=oracle_mod.DEFAULT_DEPTH, metavar="N")
+    p_oracle.add_argument("--width", type=_positive, default=oracle_mod.DEFAULT_WIDTH, metavar="N")
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     return ap

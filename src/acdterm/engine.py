@@ -44,6 +44,8 @@ KIND_OF = {
 NORMAL_FORM = "normal_form"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
+DEFAULT_MAX_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class HistoryEntry:
@@ -236,13 +238,10 @@ def _try_rule_at(
     """First applicable redex of one rule anchored at `node`, the goal node at
     path, applied."""
     goal = state.goal
-    conjunction_node = isinstance(node, AApp) and node.functor == AND
     for redex in redexes_at(node, rule.head):
         if rule.kind == SIMPAGATION:
-            # residual children sit in the focus's context only under /\
-            extra = redex.residual if conjunction_node else ()
-            cc_full = conjunctive_context(goal, path) + extra
-            thetas: Iterator[Subst] = match_cc(rule.cc_head, cc_full, redex.theta)
+            context = conjunctive_context(goal, path, redex.selected)
+            thetas: Iterator[Subst] = match_cc(rule.cc_head, context, redex.theta)
         else:
             thetas = iter((redex.theta,))
         for theta in thetas:
@@ -279,7 +278,7 @@ def step(state: EngineState, program: Program) -> tuple[EngineState, TraceStep] 
     return None
 
 
-def run(program: Program, goal: Term, max_steps: int = 10_000) -> RunResult:
+def run(program: Program, goal: Term, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
     """Rewrite a goal to a normal form, or stop after max_steps transitions."""
     state = initial_state(goal)
     trace: list[TraceStep] = []

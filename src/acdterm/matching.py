@@ -27,6 +27,7 @@ from typing import Iterator
 from .terms import (
     AC_FUNCTORS,
     AND,
+    TRUE,
     AApp,
     ANum,
     App,
@@ -48,17 +49,15 @@ class Redex:
     """A rule-head occurrence anchored at a goal node.
 
     For a match against a submultiset of an AC node's children, `selected`
-    holds the consumed child indices (1-based, ascending) and `residual` the
-    remaining children; for a whole-node match `selected` is None. `matched`
-    is the head instance, aligned node-for-node with the pattern (AC groups
-    bound to one variable stay nested), so entry and history computations can
-    traverse it in matched order.
+    holds the consumed child indices (1-based, ascending); for a whole-node
+    match it is None. `matched` is the head instance, aligned node-for-node
+    with the pattern (AC groups bound to one variable stay nested), so entry
+    and history computations can traverse it in matched order.
     """
 
     selected: tuple[int, ...] | None
     theta: Subst
     matched: ATerm
-    residual: tuple[ATerm, ...] = ()
 
 
 def _group_term(functor: str, members: tuple[ATerm, ...], node_id: int) -> ATerm:
@@ -208,33 +207,44 @@ def redexes_at(node: ATerm, head: Term) -> Iterator[Redex]:
                 used = tuple(
                     i + 1 for i in range(len(node.args)) if i not in unused
                 )
-                residual = tuple(node.args[i] for i in unused)
-                yield Redex(used, theta, inst, residual)
+                yield Redex(used, theta, inst)
             else:
-                yield Redex(None, theta, inst, ())
+                yield Redex(None, theta, inst)
         return
     for theta, inst in _match_node(head, node, {}):
-        yield Redex(None, theta, inst, ())
+        yield Redex(None, theta, inst)
+
+
+# The implicit `true` that ends every conjunctive context; it is no goal node.
+_CONTEXT_END = AApp("true", (), -1)
 
 
 def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
     """Extend theta0 so the pattern's conjuncts match distinct cc elements.
 
     The pattern is split on the top-level conjunction; each conjunct must
-    match one element of the context multiset (the unmatched rest is the
-    unconstrained residual).
+    match one element of the context multiset, which ends in an implicit
+    `true` (tried last, and only by a variable or `true`, the only conjuncts
+    it can match). The unmatched rest, the residual, must stay non-empty, so
+    there are never more conjuncts than cc elements.
     """
     if isinstance(cc_pattern, App) and cc_pattern.functor == AND:
         conjuncts = cc_pattern.args
     else:
         conjuncts = (cc_pattern,)
     elements = tuple(cc)
+    if len(conjuncts) > len(elements):
+        return
+    choices = [
+        elements + (_CONTEXT_END,) if isinstance(c, Var) or c == TRUE else elements
+        for c in conjuncts
+    ]
 
     def assign(i, used: frozenset[int], th):
         if i == len(conjuncts):
             yield th
             return
-        for j, el in enumerate(elements):
+        for j, el in enumerate(choices[i]):
             if j in used:
                 continue
             for th2, _inst in _match_node(conjuncts[i], el, th):

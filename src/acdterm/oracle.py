@@ -50,6 +50,10 @@ from .terms import (
 MAX_GOAL_SIZE = 28
 MAX_ARRANGEMENTS = 200_000
 
+# Default search bounds: levels of transitions, and visited states.
+DEFAULT_DEPTH = 20
+DEFAULT_WIDTH = 10_000
+
 
 class OracleSizeError(RuntimeError):
     """The goal exceeds the oracle's desk-scale bounds."""
@@ -82,7 +86,11 @@ def _shapes(items: tuple, functor: str) -> list:
 
 
 def _arrangements(t: ATerm, cap: int) -> list:
-    """All binary AC rearrangements of an annotated term."""
+    """All binary AC rearrangements of an annotated term.
+
+    Raises OracleSizeError as soon as a batch of trees (one child order of an
+    AC node, or one free node) takes the trees built, subterms' included,
+    past `cap`."""
     count = 0
 
     def arr(node):
@@ -91,23 +99,18 @@ def _arrangements(t: ATerm, cap: int) -> list:
             return [("v", node.name, node.id)]
         if isinstance(node, ANum):
             return [("n", node.value, node.id)]
-        child_lists = [arr(a) for a in node.args]
+        f = node.functor
         results = []
-        for combo in product(*child_lists):
-            if node.functor in AC_FUNCTORS:
-                for perm in permutations(combo):
-                    for tree in _shapes(perm, node.functor):
-                        results.append(tree)
-                        count += 1
-                        if count > cap:
-                            raise OracleSizeError(
-                                f"more than {cap} AC rearrangements"
-                            )
+        for combo in product(*[arr(a) for a in node.args]):
+            if f in AC_FUNCTORS:
+                batches = (_shapes(perm, f) for perm in permutations(combo))
             else:
-                results.append(("f", node.functor, combo, node.id))
-                count += 1
+                batches = ([("f", f, combo, node.id)],)
+            for batch in batches:
+                count += len(batch)
                 if count > cap:
                     raise OracleSizeError(f"more than {cap} AC rearrangements")
+                results.extend(batch)
         return results
 
     return arr(t)
@@ -263,18 +266,15 @@ def enumerate_transitions(
     seen = set()
 
     for path, node in subterms(goal):
-        context = None  # the conjunctive context at path, once a simpagation needs it
-        foci: list[tuple[ATerm, tuple[int, ...] | None, tuple[ATerm, ...]]] = [
-            (node, None, ())
-        ]
+        foci: list[tuple[ATerm, tuple[int, ...] | None]] = [(node, None)]
         if isinstance(node, AApp) and node.functor in AC_FUNCTORS:
-            idxs = tuple(range(1, len(node.args) + 1))
+            idxs = range(1, len(node.args) + 1)
             for k in range(2, len(node.args)):
                 for combo in combinations(idxs, k):
                     members = tuple(node.args[i - 1] for i in combo)
-                    residual = tuple(node.args[i - 1] for i in idxs if i not in combo)
-                    foci.append((AApp(node.functor, members, -1), combo, residual))
-        for focus, selected, residual in foci:
+                    foci.append((AApp(node.functor, members, -1), combo))
+        for focus, selected in foci:
+            context = None  # the focus's context, once a simpagation needs it
             for rule in program.rules:
                 if not _root_ok(rule.head, focus):
                     continue
@@ -286,11 +286,8 @@ def enumerate_transitions(
                             continue
                         if rule.kind == SIMPAGATION:
                             if context is None:
-                                context = conjunctive_context(goal, path)
-                            elements = context
-                            if isinstance(node, AApp) and node.functor == AND:
-                                elements = elements + residual
-                            theta_iter = _cc_matches(rule.cc_head, elements, theta, arrs)
+                                context = conjunctive_context(goal, path, selected)
+                            theta_iter = _cc_matches(rule.cc_head, context, theta, arrs)
                         else:
                             theta_iter = iter((theta,))
                         for th in theta_iter:
@@ -313,13 +310,7 @@ def enumerate_transitions(
                                 rule, state, path, node, selected, matched,
                                 body, next_id, history, entry,
                             )
-                            key = (
-                                rule.name,
-                                ts.kind,
-                                ac_key(ts.goal_after),
-                                ts.entry,
-                                succ.history,
-                            )
+                            key = (rule.name, ac_key(ts.goal_after), ts.entry, succ.history)
                             if key not in seen:
                                 seen.add(key)
                                 successors.append((succ, ts))
@@ -329,61 +320,52 @@ def enumerate_transitions(
 # --- reachability ------------------------------------------------------------
 
 
-def _sorted_goal(t: ATerm) -> ATerm:
-    if not isinstance(t, AApp):
-        return t
-    args = tuple(_sorted_goal(a) for a in t.args)
-    if t.functor in AC_FUNCTORS:
-        args = tuple(sorted(args, key=lambda a: (ac_key(a), a.id)))
-    return AApp(t.functor, args, t.id)
-
-
-def _map_ids(t: ATerm, rho: dict[int, int]) -> ATerm:
-    if isinstance(t, AVar):
-        return AVar(t.name, rho[t.id])
-    if isinstance(t, ANum):
-        return ANum(t.value, rho[t.id])
-    return AApp(t.functor, tuple(_map_ids(a, rho) for a in t.args), rho[t.id])
-
-
 def _relabel(state: EngineState) -> EngineState:
     """Canonical identifier relabeling, for visited-state deduplication.
 
-    AC children are put in canonical order, identifiers renumbered in
-    preorder, and history entries renamed alongside (identifiers surviving
-    only in the history get stable numbers after the goal's)."""
-    g = _sorted_goal(state.goal)
-    order: list[int] = []
-    stack = [g]
-    while stack:
-        n = stack.pop()
-        order.append(n.id)
-        if isinstance(n, AApp):
-            stack.extend(reversed(n.args))
-    rho = {old: i for i, old in enumerate(order, start=1)}
-    extra = sorted({i for e in state.history for i in e.ids} - set(rho))
-    for j, old in enumerate(extra, start=len(rho) + 1):
-        rho[old] = j
-    goal2 = _map_ids(g, rho)
-    hist2 = frozenset(
+    One walk puts AC children in (ac_key, identifier) order, numbers the
+    nodes in preorder and rebuilds the goal. History entries are renamed
+    alongside; identifiers surviving only in the history get stable numbers
+    after the goal's, and next_id follows them all.
+    """
+    rho: dict[int, int] = {}
+
+    def walk(t: ATerm) -> ATerm:
+        new = rho.setdefault(t.id, len(rho) + 1)
+        if isinstance(t, AVar):
+            return AVar(t.name, new)
+        if isinstance(t, ANum):
+            return ANum(t.value, new)
+        args = t.args
+        if t.functor in AC_FUNCTORS:
+            args = sorted(args, key=lambda a: (ac_key(a), a.id))
+        return AApp(t.functor, tuple(map(walk, args)), new)
+
+    goal = walk(state.goal)
+    extra = sorted({i for e in state.history for i in e.ids} - rho.keys())
+    for old in extra:
+        rho[old] = len(rho) + 1
+    history = frozenset(
         HistoryEntry(e.rule, tuple(rho[i] for i in e.ids)) for e in state.history
     )
-    return EngineState(goal2, hist2, len(rho) + 1)
+    return EngineState(goal, history, len(rho) + 1)
 
 
 def search_normal_forms(
     program: Program,
     goal: Term,
-    depth: int = 20,
-    width: int = 10_000,
+    depth: int = DEFAULT_DEPTH,
+    width: int = DEFAULT_WIDTH,
 ) -> SearchResult:
     """Bounded breadth-first search over all transitions.
 
     With truncated=False the result is exactly the set of normal forms
-    (canonical AC form) reachable within the bounds.
+    (canonical AC form) reachable within the bounds. A goal beyond the size
+    bounds raises OracleSizeError; a successor beyond them only sets
+    truncated.
     """
     start = _relabel(initial_state(goal))
-    visited = {(start.goal, start.history)}
+    visited = {start}
     frontier = [start]
     normal: set[Term] = set()
     explored = 0
@@ -397,6 +379,8 @@ def search_normal_forms(
             try:
                 succs = enumerate_transitions(st, program)
             except OracleSizeError:
+                if st is start:
+                    raise
                 truncated = True
                 continue
             if not succs:
@@ -404,13 +388,12 @@ def search_normal_forms(
                 continue
             for succ, _ts in succs:
                 r = _relabel(succ)
-                key = (r.goal, r.history)
-                if key in visited:
+                if r in visited:
                     continue
                 if len(visited) >= width:
                     truncated = True
                     continue
-                visited.add(key)
+                visited.add(r)
                 next_frontier.append(r)
         frontier = next_frontier
     if frontier:
@@ -437,9 +420,8 @@ def first_divergence(program: Program, goal: Term, trace) -> int | None:
                     and ac_key(sts.goal_after) == target
                 ):
                     r = _relabel(succ)
-                    key = (r.goal, r.history)
-                    if key not in seen:
-                        seen.add(key)
+                    if r not in seen:
+                        seen.add(r)
                         nxt.append(r)
         if not nxt:
             return ts.index

@@ -43,8 +43,5 @@ class Program:
                 raise ValueError(f"duplicate rule name {r.name}")
             seen.add(r.name)
 
-    def __iter__(self):
-        return iter(self.rules)
-
     def __len__(self):
         return len(self.rules)

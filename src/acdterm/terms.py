@@ -282,11 +282,15 @@ def ac_equal(t1, t2) -> bool:
 # --- conjunctive context ---------------------------------------------------
 
 
-def conjunctive_context(g, p: Position) -> tuple:
-    """Conjuncts alongside position p, as a tuple (multiset) of subterms.
+def conjunctive_context(g, p: Position, selected: tuple[int, ...] | None) -> tuple:
+    """The conjunctive context of a focus, as a tuple (multiset) of subterms.
 
-    Descending through a conjunction adds all sibling conjuncts; any other
-    functor passes the context through unchanged. The empty context (at the
+    The focus is the node at position p, or, with `selected` (1-based child
+    indices, ascending), those children of it. Descending through a
+    conjunction adds all sibling conjuncts; any other functor passes the
+    context through unchanged. When the focus is selected children of a
+    conjunction, the unselected children follow in node order; under any
+    other AC functor they are not in the context. The empty context (at the
     root, or under non-conjunctive functors only) is the empty tuple.
     """
     out = []
@@ -295,8 +299,9 @@ def conjunctive_context(g, p: Position) -> tuple:
         args = _children(cur)
         if not 1 <= i <= len(args):
             raise PositionError(f"invalid position index {i} (node has {len(args)} children)")
-        functor = cur.functor if isinstance(cur, (App, AApp)) else None
-        if functor == AND:
+        if cur.functor == AND:
             out.extend(a for j, a in enumerate(args, start=1) if j != i)
         cur = args[i - 1]
+    if selected is not None and cur.functor == AND:
+        out.extend(a for j, a in enumerate(cur.args, start=1) if j not in selected)
     return tuple(out)

@@ -138,6 +138,14 @@ def test_oracle_subcommand(capsys):
     assert "truncated=false" in captured.err
 
 
+def test_oracle_refuses_oversized_goal(capsys):
+    goal = " /\\ ".join(f"leq({x},{y})" for x, y in zip("abcdefghi", "bcdefghij"))
+    assert main(["oracle", "-p", prog("leq.acd"), "-g", goal]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "acdterm: oracle refused: goal size 35 exceeds bound 28"
+
+
 def test_missing_program_file(capsys):
     assert main(["run", "-p", "no_such.acd", "-g", "a"]) == 1
     assert "no_such.acd" in capsys.readouterr().err

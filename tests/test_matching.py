@@ -13,6 +13,7 @@ from acdterm import (
     annotate,
     app,
     canonical,
+    conjunctive_context,
     guard_holds,
     match,
     match_cc,
@@ -248,9 +249,9 @@ def _ref_redexes(node, head):
     for theta, inst, unused in _ref_match_ac(head, node, {}, full=False):
         if unused:
             used = tuple(i + 1 for i in range(len(node.args)) if i not in unused)
-            out.append((theta, inst, used, tuple(node.args[i] for i in unused)))
+            out.append((theta, inst, used))
         else:
-            out.append((theta, inst, None, ()))
+            out.append((theta, inst, None))
     return out
 
 
@@ -296,7 +297,7 @@ def test_pruned_matcher_keeps_reference_order():
         whole = list(_match_node(pattern, subject, {}))
         assert whole == list(_ref_match_node(pattern, subject, {})), where
         assert list(match(pattern, subject)) == [th for th, _inst in whole]
-        mine = [(r.theta, r.matched, r.selected, r.residual) for r in redexes_at(subject, pattern)]
+        mine = [(r.theta, r.matched, r.selected) for r in redexes_at(subject, pattern)]
         ref = _ref_redexes(subject, pattern)
         assert mine == ref, where
         full_matches += bool(whole)
@@ -323,8 +324,9 @@ def test_pruned_matcher_keeps_reference_order():
     ids=["submultiset_with_residual", "non_ac_head", "pattern_larger_than_subject"],
 )
 def test_redexes_at(goal, head, expected):
+    # the residual of a selection is its context within the node
     found = [
-        (path, r.selected, [strip(x) for x in r.residual])
+        (path, r.selected, [strip(x) for x in conjunctive_context(node, (), r.selected)])
         for path, node in subterms(A(goal))
         for r in redexes_at(node, P(head))
     ]
@@ -355,6 +357,20 @@ def test_match_cc_conjunction_pattern_injective():
     thetas = [plain(t) for t in match_cc(P("p(X) /\\ q(Y)"), cc, {})]
     assert thetas == [{"X": App("a"), "Y": App("b")}]
     assert list(match_cc(P("p(X) /\\ p(Y)"), [A("p(a)")], {})) == []
+
+
+def test_match_cc_trailing_true():
+    # a context ends in an implicit true, which `true` may take while the
+    # residual stays non-empty
+    assert list(match_cc(P("true"), [A("b")], {})) == [{}]
+    assert list(match_cc(P("true"), [], {})) == []
+    # a variable takes the context's elements first, then the trailing true
+    thetas = [plain(t) for t in match_cc(P("V"), [A("h(b)")], {})]
+    assert thetas == [{"V": App("h", (App("b"),))}, {"V": App("true")}]
+    assert list(match_cc(P("V"), [], {})) == []
+    thetas = [plain(t) for t in match_cc(P("b /\\ true"), [A("b"), A("c")], {})]
+    assert thetas == [{}]
+    assert list(match_cc(P("b /\\ true"), [A("b")], {})) == []
 
 
 # --- guards ---------------------------------------------------------------------------

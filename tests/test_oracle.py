@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from conftest import count_calls
 
 from acdterm import (
     App,
     OracleSizeError,
     ac_equal,
+    annotate,
     canonical,
     enumerate_transitions,
     first_divergence,
@@ -18,8 +20,9 @@ from acdterm import (
     step,
     verify_trace,
 )
-from acdterm.engine import TraceStep
-from acdterm.oracle import _relabel
+from acdterm.engine import EngineState, HistoryEntry, TraceStep
+from acdterm.oracle import _arrangements, _relabel
+from acdterm.terms import AC_FUNCTORS, AApp, ANum, AVar, ac_key
 
 P = parse_term
 
@@ -268,3 +271,161 @@ def test_meta_oracle_agreement():
         succs = enumerate_transitions(initial_state(goal), prog)
         mine = {canonical(ts.goal_after) for _, ts in succs}
         assert mine == naive, pretty(goal)
+
+
+# --- conjunctive contexts: engine against oracle ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "source, goal",
+    [
+        # the context's trailing true is taken by `true` in the context head
+        ("r @ true \\ f(X) <=> g(X).", "f(a) /\\ b"),
+        ("r @ b /\\ true \\ f(X) <=> g(X).", "f(a) /\\ b /\\ c"),
+        # a variable context head needs a non-empty residual
+        ("r @ V \\ f(X) <=> g(X, V).", "f(a)"),
+        ("r @ V \\ f(X) <=> g(X, V).", "f(a) /\\ h(b)"),
+        # a conjunction as context head
+        ("fold @ q(X) /\\ r(X) \\ p(X) <=> s(X).", "p(a) /\\ q(a) /\\ r(a)"),
+        ("fold @ q(X) /\\ r(X) \\ p(X) <=> s(X).", "p(a) /\\ q(a) /\\ r(b)"),
+    ],
+)
+def test_engine_context_matching_agrees_with_oracle(source, goal):
+    prog = parse_program(source)
+    res = run(prog, P(goal))
+    assert verify_trace(prog, P(goal), res.trace)
+    found = search_normal_forms(prog, P(goal))
+    assert not found.truncated
+    assert canonical(res.final.goal) in found.normal_forms
+
+
+# --- search bounds ------------------------------------------------------------------
+
+
+def test_search_refuses_oversized_goal(leq_program):
+    big = " /\\ ".join(f"leq({x},{y})" for x, y in zip("abcdefghi", "bcdefghij"))
+    with pytest.raises(OracleSizeError, match="goal size 35 exceeds bound 28"):
+        search_normal_forms(leq_program, P(big))
+
+
+def test_search_truncates_at_depth():
+    # every state has one successor, one symbol larger
+    prog = parse_program("grow @ g(X) <=> g(s(X)).")
+    result = search_normal_forms(prog, P("g(a)"), depth=3)
+    assert result.truncated
+    assert result.explored == 3
+    assert result.normal_forms == frozenset()
+
+
+def test_search_truncates_oversized_successors():
+    prog = parse_program("grow @ g(X) <=> g(s(X)).")
+    result = search_normal_forms(prog, P("g(a)"), depth=40)
+    assert result.truncated
+    assert result.explored == 28  # g(s^26(a)), of size 28, is the last within the bound
+
+
+def test_search_truncates_at_width(leq_program):
+    goal = P("leq(a,b) /\\ leq(b,c)")
+    full = search_normal_forms(leq_program, goal)
+    assert not full.truncated
+    narrow = search_normal_forms(leq_program, goal, width=3)
+    assert narrow.truncated
+    assert narrow.explored < full.explored
+
+
+# --- arrangement cap ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "source, largest_refused",
+    [
+        # 3 leaves, 3 free nodes with one tree each, 3! orders of 2 shapes
+        ("p(a) /\\ q(b) /\\ r(c)", 17),
+        # 4 leaves, 4 free nodes, 4! orders of 5 shapes
+        ("p(a) /\\ q(b) /\\ r(c) /\\ s(d)", 127),
+    ],
+)
+def test_arrangement_cap_boundary(source, largest_refused):
+    term = annotate(0, P(source))
+    with pytest.raises(OracleSizeError):
+        _arrangements(term, largest_refused)
+    assert len(_arrangements(term, largest_refused + 1)) == len(_arrangements(term, 10**6))
+
+
+def test_arrangement_cap_refuses_before_building_a_node(monkeypatch):
+    # 8! orders of 429 shapes each: the cap must stop the first few orders
+    from acdterm import oracle
+
+    shapes = count_calls(monkeypatch, oracle, "_shapes", limit=20_000)
+    term = annotate(0, P(" /\\ ".join("abcdefgh")))
+    with pytest.raises(OracleSizeError):
+        _arrangements(term, 1_000)
+    assert shapes.calls < 20_000
+
+
+# --- relabeling against the previous three-pass definition --------------------------
+
+
+def _ref_sorted_goal(t):
+    if not isinstance(t, AApp):
+        return t
+    args = tuple(_ref_sorted_goal(a) for a in t.args)
+    if t.functor in AC_FUNCTORS:
+        args = tuple(sorted(args, key=lambda a: (ac_key(a), a.id)))
+    return AApp(t.functor, args, t.id)
+
+
+def _ref_map_ids(t, rho):
+    if isinstance(t, AVar):
+        return AVar(t.name, rho[t.id])
+    if isinstance(t, ANum):
+        return ANum(t.value, rho[t.id])
+    return AApp(t.functor, tuple(_ref_map_ids(a, rho) for a in t.args), rho[t.id])
+
+
+def _ref_relabel(state):
+    g = _ref_sorted_goal(state.goal)
+    order = []
+    stack = [g]
+    while stack:
+        n = stack.pop()
+        order.append(n.id)
+        if isinstance(n, AApp):
+            stack.extend(reversed(n.args))
+    rho = {old: i for i, old in enumerate(order, start=1)}
+    extra = sorted({i for e in state.history for i in e.ids} - set(rho))
+    for j, old in enumerate(extra, start=len(rho) + 1):
+        rho[old] = j
+    goal2 = _ref_map_ids(g, rho)
+    hist2 = frozenset(
+        HistoryEntry(e.rule, tuple(rho[i] for i in e.ids)) for e in state.history
+    )
+    return EngineState(goal2, hist2, len(rho) + 1)
+
+
+def test_relabel_matches_reference(
+    leq_program, unify_program, one_subst_program, golfers_program
+):
+    cases = [
+        (leq_program, "leq(X,Y) /\\ leq(Y,Z) /\\ ~leq(X,Z)"),
+        (leq_program, "leq(a,b) /\\ leq(b,c) /\\ leq(c,a)"),
+        (leq_program, "leq(A,A) /\\ ~true /\\ leq(B,A)"),
+        (unify_program, "X = Y /\\ f(f(X)) = X /\\ Y = f(f(f(Y)))"),
+        (unify_program, "f(X) = f(a) /\\ X = Y"),
+        (one_subst_program, "not_one(A) /\\ one(A) /\\ one(B)"),
+        (golfers_program, "maxOverlap(g1,g2,0) /\\ maxOverlap(g1,g2,1) /\\ holds(true)"),
+    ]
+    checked = 0
+    for prog, src in cases:
+        frontier = [initial_state(P(src))]
+        for _ in range(3):
+            reached = []
+            for state in frontier:
+                assert _relabel(state) == _ref_relabel(state), src
+                checked += 1
+                reached.extend(s for s, _ in enumerate_transitions(state, prog))
+            frontier = reached
+        for state in frontier:
+            assert _relabel(state) == _ref_relabel(state), src
+            checked += 1
+    assert checked > 300, checked

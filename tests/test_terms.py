@@ -263,7 +263,7 @@ def test_canonical_matches_reference():
 
 def test_cc_at_root_is_empty():
     ta = annotate(0, P("f(a)"))
-    assert conjunctive_context(ta, ()) == ()
+    assert conjunctive_context(ta, (), None) == ()
 
 
 def test_cc_collects_siblings_through_disjunction():
@@ -271,14 +271,14 @@ def test_cc_collects_siblings_through_disjunction():
     t = P("(X = 3) /\\ (q(X) \\/ (X = 4) /\\ U \\/ V) /\\ W")
     ta = annotate(0, t)
     # position: conjunct 2 -> disjunct 2 -> conjunct 1 -> arg 1
-    cc = conjunctive_context(ta, (2, 2, 1, 1))
+    cc = conjunctive_context(ta, (2, 2, 1, 1), None)
     got = sorted(pretty(strip(c)) for c in cc)
     assert got == ["U", "W", "X = 3"]
 
 
 def test_cc_of_sibling_conjunct():
     ta = annotate(0, P("not_one(A) /\\ one(A)"))
-    cc = conjunctive_context(ta, (1,))
+    cc = conjunctive_context(ta, (1,), None)
     assert [pretty(strip(c)) for c in cc] == ["one(A)"]
 
 
@@ -289,7 +289,7 @@ def test_cc_excludes_focus_and_descendants():
         ta = annotate(0, t)
         for p, focus in subterms(ta):
             focus_ids = ids_of(focus)
-            for c in conjunctive_context(ta, p):
+            for c in conjunctive_context(ta, p, None):
                 assert not (ids_of(c) & focus_ids)
 
 
@@ -298,6 +298,6 @@ def test_cc_passes_through_free_functors():
     outer = app("f", (s,))
     ta = annotate(0, outer)
     inner = annotate(0, s)
-    lhs = [strip(c) for c in conjunctive_context(ta, (1, 2, 1))]
-    rhs = [strip(c) for c in conjunctive_context(inner, (2, 1))]
+    lhs = [strip(c) for c in conjunctive_context(ta, (1, 2, 1), None)]
+    rhs = [strip(c) for c in conjunctive_context(inner, (2, 1), None)]
     assert lhs == rhs
