@@ -209,13 +209,19 @@ def _successor(
 
     `body` is the annotated body instance before flattening, `next_id` the
     first identifier it left unused and `history` the renamed history. A
-    propagation (`entry` given) conjoins the matched head instance with the
-    body and records the entry. The result replaces the selected children of
-    `node`, the goal node at path, or the whole node when `selected` is None.
+    propagation (`entry` given) conjoins the matched head instance,
+    flattened, with the body and records the entry; a selection of a node
+    other than `/\\` becomes a node of its own with a fresh identifier. The
+    result replaces the selected children of `node`, the goal node at path,
+    or the whole node when `selected` is None.
     """
     replacement = _flatten_annotated(body)
     if entry is not None:
         history = history | {entry}
+        matched = _flatten_annotated(matched)
+        if selected is not None and node.functor != AND:
+            matched = AApp(node.functor, matched.args, next_id)
+            next_id += 1
         replacement = aapp(AND, (matched, replacement), next_id)
         next_id += 1
     if selected is not None:

@@ -3,9 +3,16 @@
 Transitions are enumerated by generate-and-test: every focus (each node, and
 every proper submultiset of an AC node's children), every binary AC
 rearrangement of focus and rule head, and plain first-order matching between
-the two binary trees. This is exponential and deliberately shares none of the
+the two binary views. This is exponential and deliberately shares none of the
 matcher's submultiset assignment machinery; goals beyond the size bound are
 refused rather than handled slowly or incompletely.
+
+The oracle's own parts are the matcher and the state key: `_arrangements`
+(the binary views, annotated terms whose AC nodes are binary), `_match_b`,
+`_cc_matches`, `_root_ok` and `_relabel`. Everything after a match comes from
+the engine, applied to the oracle's own matched view: the history entry
+(`engine.entry_of`), the bindings flattened back (`engine._flatten_annotated`)
+and the successor state (`engine._successor`).
 """
 
 from __future__ import annotations
@@ -17,9 +24,11 @@ from .engine import (
     EngineState,
     HistoryEntry,
     TraceStep,
+    _flatten_annotated,
     _rename,
     _renamings,
     _successor,
+    entry_of,
     initial_state,
 )
 from .matching import _instantiate, guard_holds
@@ -35,12 +44,12 @@ from .terms import (
     Num,
     Term,
     Var,
-    aapp,
     ac_key,
     annotate_from,
     canonical,
     conjunctive_context,
     size,
+    strip,
     subterms,
     vars_of,
 )
@@ -67,45 +76,42 @@ class SearchResult:
 
 
 # --- binary views ------------------------------------------------------------
-#
-# Binary trees are tuples: ("v", name, id), ("n", value, id) and
-# ("f", functor, args, id) with AC nodes strictly binary. Synthetic AC nodes
-# introduced by rearrangement carry id -1 (AC identifiers are unconstrained
-# and never appear in history entries).
 
 
-def _shapes(items: tuple, functor: str) -> list:
+def _shapes(items: tuple, functor: str, root_id: int) -> list:
     if len(items) == 1:
         return [items[0]]
     out = []
     for k in range(1, len(items)):
-        for left in _shapes(items[:k], functor):
-            for right in _shapes(items[k:], functor):
-                out.append(("f", functor, (left, right), -1))
+        for left in _shapes(items[:k], functor, -1):
+            for right in _shapes(items[k:], functor, -1):
+                out.append(AApp(functor, (left, right), root_id))
     return out
 
 
 def _arrangements(t: ATerm, cap: int) -> list:
-    """All binary AC rearrangements of an annotated term.
+    """All binary AC rearrangements of an annotated term, as annotated terms.
 
-    Raises OracleSizeError as soon as a batch of trees (one child order of an
-    AC node, or one free node) takes the trees built, subterms' included,
-    past `cap`."""
+    AC nodes are strictly binary. Every node keeps its identifier, an AC
+    node's on the root of each of its shapes; the synthetic nodes below that
+    root carry id -1, so a view flattened back carries the term's own
+    identifiers. The only view of a variable, a number or a constant is the
+    node itself. Raises OracleSizeError as soon as a batch of trees (one
+    child order of an AC node, or one free node) takes the trees built,
+    subterms' included, past `cap`."""
     count = 0
 
     def arr(node):
         nonlocal count
-        if isinstance(node, AVar):
-            return [("v", node.name, node.id)]
-        if isinstance(node, ANum):
-            return [("n", node.value, node.id)]
+        if not isinstance(node, AApp):
+            return [node]
         f = node.functor
         results = []
         for combo in product(*[arr(a) for a in node.args]):
             if f in AC_FUNCTORS:
-                batches = (_shapes(perm, f) for perm in permutations(combo))
+                batches = (_shapes(perm, f, node.id) for perm in permutations(combo))
             else:
-                batches = ([("f", f, combo, node.id)],)
+                batches = ([AApp(f, combo, node.id) if combo else node],)
             for batch in batches:
                 count += len(batch)
                 if count > cap:
@@ -116,51 +122,36 @@ def _arrangements(t: ATerm, cap: int) -> list:
     return arr(t)
 
 
-def _b_strip(b):
-    if b[0] == "f":
-        return ("f", b[1], tuple(_b_strip(a) for a in b[2]))
-    return b[:2]
-
-
-def _b_to_aterm(b) -> ATerm:
-    if b[0] == "v":
-        return AVar(b[1], b[2])
-    if b[0] == "n":
-        return ANum(b[1], b[2])
-    return aapp(b[1], tuple(_b_to_aterm(a) for a in b[2]), b[3])
-
-
-def _b_entry(b) -> tuple[int, ...]:
-    if b[0] == "f":
-        if b[1] in AC_FUNCTORS:
-            return tuple(i for a in b[2] for i in _b_entry(a))
-        return (b[3],) + tuple(i for a in b[2] for i in _b_entry(a))
-    return (b[2],)
-
-
-def _match_b(pattern, subject, theta, occ):
-    """Plain first-order match of two binary trees; None on mismatch.
+def _match_b(pattern: ATerm, subject: ATerm, theta, occ):
+    """Plain first-order match of two binary views; None on mismatch.
 
     Pattern variables bind binary subtrees; repeated variables must bind
     structurally identical subtrees modulo identifiers. Each variable
-    occurrence is recorded in `occ` for history updating.
+    occurrence is recorded in `occ` for history updating. theta is never
+    mutated; a new binding returns a new dict.
     """
-    kind = pattern[0]
-    if kind == "v":
-        name = pattern[1]
+    if isinstance(pattern, AVar):
+        name = pattern.name
         bound = theta.get(name)
         if bound is not None:
-            if _b_strip(bound) != _b_strip(subject):
+            # structural, not ac_key: engine._renamings pairs each occurrence
+            # with the body's copy node by node, so an AC-equal occurrence in
+            # another order would pair the wrong identifiers
+            if strip(bound) != strip(subject):
                 return None
             occ.append((name, subject))
             return theta
         occ.append((name, subject))
         return {**theta, name: subject}
-    if kind == "n":
-        return theta if subject[0] == "n" and subject[1] == pattern[1] else None
-    if subject[0] != "f" or subject[1] != pattern[1] or len(subject[2]) != len(pattern[2]):
+    if isinstance(pattern, ANum):
+        return theta if isinstance(subject, ANum) and subject.value == pattern.value else None
+    if (
+        not isinstance(subject, AApp)
+        or subject.functor != pattern.functor
+        or len(subject.args) != len(pattern.args)
+    ):
         return None
-    for pa, sa in zip(pattern[2], subject[2]):
+    for pa, sa in zip(pattern.args, subject.args):
         theta = _match_b(pa, sa, theta, occ)
         if theta is None:
             return None
@@ -227,7 +218,7 @@ def _cc_matches(cc_head: Term, elements, theta, arrs):
                 continue
             for e_arr in arrs(elems[j]):
                 for c_arr in conj_arrs[i]:
-                    th2 = _match_b(c_arr, e_arr, dict(th), [])
+                    th2 = _match_b(c_arr, e_arr, th, [])
                     if th2 is not None:
                         yield from assign(i + 1, used | {j}, th2)
 
@@ -291,23 +282,22 @@ def enumerate_transitions(
                         else:
                             theta_iter = iter((theta,))
                         for th in theta_iter:
-                            th_terms = {k: _b_to_aterm(v) for k, v in th.items()}
+                            th_terms = {k: _flatten_annotated(v) for k, v in th.items()}
                             if not guard_holds(rule.guard, th_terms):
                                 continue
                             entry = None
                             if rule.kind == PROPAGATION:
-                                entry = HistoryEntry(rule.name, _b_entry(s_arr))
+                                entry = entry_of(rule.name, s_arr)
                                 if entry in state.history:
                                     continue
                             body_plain = _instantiate(rule.body, th_terms, goal_vars)
                             body, next_id = annotate_from(body_plain, state.next_id)
-                            bound = ((name, _b_to_aterm(b)) for name, b in occ)
+                            bound = ((name, _flatten_annotated(b)) for name, b in occ)
                             history = _rename(
                                 state.history, _renamings(bound, rule.body, body)
                             )
-                            matched = _b_to_aterm(s_arr) if entry is not None else None
                             succ, ts = _successor(
-                                rule, state, path, node, selected, matched,
+                                rule, state, path, node, selected, s_arr,
                                 body, next_id, history, entry,
                             )
                             key = (rule.name, ac_key(ts.goal_after), ts.entry, succ.history)

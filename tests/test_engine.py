@@ -18,6 +18,7 @@ from acdterm import (
     run,
     step,
     strip,
+    subterms,
     update_history,
 )
 from acdterm import engine, matching
@@ -253,6 +254,13 @@ def test_propagation_under_non_conjunctive_ac_operator():
     assert ac_equal(strip(res.final.goal), P("((a + b) /\\ q(a)) + c"))
     res2 = run(prog, P("a + b"), max_steps=1)
     assert ac_equal(strip(res2.final.goal), P("(a + b) /\\ q(a)"))
+    # a whole-node match that binds the group b + c to Y
+    group = run(parse_program("p @ a + Y ==> size(Y) > 1 | q(Y)."), P("a + b + c"))
+    assert ac_equal(strip(group.final.goal), P("(a + b + c) /\\ q(b + c)"))
+    # the selected a + b is a node of its own, and the group is flattened
+    # into its + node, so no identifier occurs twice
+    for g in (res.final.goal, res2.final.goal, group.final.goal):
+        assert len(ids_of(g)) == len(subterms(g))
 
 
 def test_selection_residual_outside_conjunction_is_not_context():

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 from conftest import count_calls
+from test_terms import random_term
 
 from acdterm import (
     App,
@@ -9,6 +11,7 @@ from acdterm import (
     ac_equal,
     annotate,
     canonical,
+    entry_of,
     enumerate_transitions,
     first_divergence,
     initial_state,
@@ -18,11 +21,12 @@ from acdterm import (
     run,
     search_normal_forms,
     step,
+    subterms,
     verify_trace,
 )
-from acdterm.engine import EngineState, HistoryEntry, TraceStep
-from acdterm.oracle import _arrangements, _relabel
-from acdterm.terms import AC_FUNCTORS, AApp, ANum, AVar, ac_key
+from acdterm.engine import EngineState, HistoryEntry, TraceStep, _flatten_annotated
+from acdterm.oracle import MAX_GOAL_SIZE, _arrangements, _relabel
+from acdterm.terms import AC_FUNCTORS, AApp, ANum, AVar, ac_key, size
 
 P = parse_term
 
@@ -146,13 +150,19 @@ def test_engine_successor_is_an_oracle_successor(
         (unify_program, "X = Y /\\ f(f(X)) = X /\\ Y = f(f(f(Y)))"),
         (one_subst_program, "not_one(A) /\\ one(A)"),
         (dup, "f(a /\\ b)"),
+        # propagations on a selection of a non-conjunctive AC node, and on a
+        # whole + node with a group bound to Y
+        (parse_program("m @ a \\/ b ==> m."), "a \\/ b \\/ c"),
+        (parse_program("p @ X + Y ==> q(X)."), "a + b + c"),
+        (parse_program("p @ a + Y ==> size(Y) > 1 | q(Y)."), "a + b + c"),
     ]
     checked = 0
     for prog, src in cases:
         state = initial_state(P(src))
         for _ in range(50):
             nxt = step(state, prog)
-            if nxt is None:
+            # the X + Y propagation grows its goal past the oracle's bound
+            if nxt is None or size(state.goal) > MAX_GOAL_SIZE:
                 break
             mine = _relabel(nxt[0])
             theirs = {
@@ -162,7 +172,7 @@ def test_engine_successor_is_an_oracle_successor(
             assert (mine.goal, mine.history) in theirs, (src, nxt[1].rule)
             state = nxt[0]
             checked += 1
-    assert checked == 26
+    assert checked == 34
 
 
 # --- meta-oracle spot check -------------------------------------------------------
@@ -361,6 +371,42 @@ def test_arrangement_cap_refuses_before_building_a_node(monkeypatch):
     with pytest.raises(OracleSizeError):
         _arrangements(term, 1_000)
     assert shapes.calls < 20_000
+
+
+# --- binary views ------------------------------------------------------------------
+
+
+def _nodes(t):
+    return [n for _, n in subterms(t)]
+
+
+def _leaves(t):
+    return sorted(id(n) for n in _nodes(t) if not isinstance(n, AApp) or not n.args)
+
+
+def test_arrangements_are_binary_views_of_the_term():
+    # every view is an annotated term with binary AC nodes, AC-equal to the
+    # term, built on the term's own leaves; its entry holds the term's entry
+    # ids in some order, and flattened it carries exactly the term's ids
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(150):
+        t = annotate(1, random_term(rng, depth=2))
+        leaves = _leaves(t)
+        entry = sorted(entry_of("r", t).ids)
+        ids = sorted(n.id for n in _nodes(t))
+        for view in _arrangements(t, 10**5):
+            nodes = _nodes(view)
+            assert all(isinstance(n, (AVar, ANum, AApp)) for n in nodes)
+            assert all(
+                len(n.args) == 2 for n in nodes if isinstance(n, AApp) and n.functor in AC_FUNCTORS
+            )
+            assert ac_key(view) == ac_key(t)
+            assert _leaves(view) == leaves
+            assert sorted(entry_of("r", view).ids) == entry
+            assert sorted(n.id for n in _nodes(_flatten_annotated(view))) == ids
+            checked += 1
+    assert checked > 500, checked
 
 
 # --- relabeling against the previous three-pass definition --------------------------
