@@ -23,6 +23,7 @@ from .terms import (
     AApp,
     App,
     ATerm,
+    AVar,
     Position,
     Term,
     Var,
@@ -111,7 +112,7 @@ def _zip_ids(a: ATerm, b: ATerm, rho: dict[int, int]) -> None:
 
 
 def update_history(
-    head: Term,
+    head: Term | ATerm,
     head_inst: ATerm,
     body: Term,
     body_inst: ATerm,
@@ -122,46 +123,32 @@ def update_history(
     For every variable occurring at position p in the head and position q in
     the body, the renaming mapping the identifiers of head_inst at p onto
     those of body_inst at q is applied to every entry mentioning a renamed
-    identifier, and the renamed entry is added.
+    identifier, and the renamed entry is added. The head may be a plain
+    pattern or an annotated view of one aligned with head_inst.
     """
-    return _rename(h0, _renamings(_occurrences(head, head_inst), body, body_inst))
-
-
-def _occurrences(pattern: Term, inst: ATerm) -> Iterator[tuple[str, ATerm]]:
-    """(variable name, instance subtree) for each variable occurrence of a
-    pattern, in preorder, walking the pattern and its aligned instance together."""
-    if isinstance(pattern, Var):
-        yield pattern.name, inst
-    elif isinstance(pattern, App):
-        for p, s in zip(pattern.args, inst.args):
-            yield from _occurrences(p, s)
-
-
-def _renamings(bound, body: Term, body_inst: ATerm) -> list[dict[int, int]]:
-    """Identifier renamings from each bound (name, instance subtree) occurrence
-    onto every copy of that variable in the annotated body instance."""
     copies: dict[str, list[ATerm]] = {}
     for name, copy in _occurrences(body, body_inst):
         copies.setdefault(name, []).append(copy)
-    renamings: list[dict[int, int]] = []
-    for name, inst in bound:
+    out = set(h0)
+    for name, inst in _occurrences(head, head_inst):
         for copy in copies.get(name, ()):
             rho: dict[int, int] = {}
             _zip_ids(inst, copy, rho)
-            renamings.append(rho)
-    return renamings
-
-
-def _rename(
-    h0: frozenset[HistoryEntry], renamings: list[dict[int, int]]
-) -> frozenset[HistoryEntry]:
-    """h0 plus, per renaming, each entry mentioning a renamed identifier, renamed."""
-    out = set(h0)
-    for rho in renamings:
-        for e in h0:
-            if any(i in rho for i in e.ids):
-                out.add(HistoryEntry(e.rule, tuple(rho.get(i, i) for i in e.ids)))
+            for e in h0:
+                if any(i in rho for i in e.ids):
+                    out.add(HistoryEntry(e.rule, tuple(rho.get(i, i) for i in e.ids)))
     return frozenset(out)
+
+
+def _occurrences(pattern: Term | ATerm, inst: ATerm) -> Iterator[tuple[str, ATerm]]:
+    """(variable name, instance subtree) for each variable occurrence of a
+    pattern, plain or annotated, in preorder, walking the pattern and its
+    aligned instance together."""
+    if isinstance(pattern, (Var, AVar)):
+        yield pattern.name, inst
+    elif isinstance(pattern, (App, AApp)):
+        for p, s in zip(pattern.args, inst.args):
+            yield from _occurrences(p, s)
 
 
 # --- rule application --------------------------------------------------------
@@ -199,22 +186,33 @@ def _successor(
     path: Position,
     node: ATerm,
     selected: tuple[int, ...] | None,
-    matched: ATerm | None,
-    body: ATerm,
-    next_id: int,
-    history: frozenset[HistoryEntry],
-    entry: HistoryEntry | None,
-) -> tuple[EngineState, TraceStep]:
-    """The state a rule application leads to, with its trace record.
+    head: Term | ATerm,
+    matched: ATerm,
+    theta: Subst,
+) -> tuple[EngineState, TraceStep] | None:
+    """Fire a rule on one match: the state it leads to, with its trace record.
 
-    `body` is the annotated body instance before flattening, `next_id` the
-    first identifier it left unused and `history` the renamed history. A
-    propagation (`entry` given) conjoins the matched head instance,
-    flattened, with the body and records the entry; a selection of a node
-    other than `/\\` becomes a node of its own with a fresh identifier. The
-    result replaces the selected children of `node`, the goal node at path,
-    or the whole node when `selected` is None.
+    `matched` is the head instance aligned node for node with `head` (the
+    rule's head or an annotated view of it) and theta the match's bindings,
+    which may keep AC nodes nested. None when the guard fails or the history
+    already holds a propagation's entry. The body instance is annotated from
+    the state's next identifier and the history renamed onto it. A
+    propagation conjoins the matched head instance, flattened, with the body
+    and records the entry; a selection of a node other than `/\\` becomes a
+    node of its own with a fresh identifier. The result replaces the
+    selected children of `node`, the goal node at path, or the whole node
+    when `selected` is None.
     """
+    if not guard_holds(rule.guard, theta):
+        return None
+    entry = None
+    if rule.kind == PROPAGATION:
+        entry = entry_of(rule.name, matched)
+        if entry in state.history:
+            return None
+    body_plain = _instantiate(rule.body, theta, vars_of(state.goal))
+    body, next_id = annotate_from(body_plain, state.next_id)
+    history = update_history(head, matched, rule.body, body, state.history)
     replacement = _flatten_annotated(body)
     if entry is not None:
         history = history | {entry}
@@ -243,28 +241,18 @@ def _try_rule_at(
 ) -> tuple[EngineState, TraceStep] | None:
     """First applicable redex of one rule anchored at `node`, the goal node at
     path, applied."""
-    goal = state.goal
     for redex in redexes_at(node, rule.head):
         if rule.kind == SIMPAGATION:
-            context = conjunctive_context(goal, path, redex.selected)
+            context = conjunctive_context(state.goal, path, redex.selected)
             thetas: Iterator[Subst] = match_cc(rule.cc_head, context, redex.theta)
         else:
             thetas = iter((redex.theta,))
         for theta in thetas:
-            if not guard_holds(rule.guard, theta):
-                continue
-            entry = None
-            if rule.kind == PROPAGATION:
-                entry = entry_of(rule.name, redex.matched)
-                if entry in state.history:
-                    continue
-            body_plain = _instantiate(rule.body, theta, vars_of(goal))
-            body, next_id = annotate_from(body_plain, state.next_id)
-            history = update_history(rule.head, redex.matched, rule.body, body, state.history)
-            return _successor(
-                rule, state, path, node, redex.selected, redex.matched,
-                body, next_id, history, entry,
+            fired = _successor(
+                rule, state, path, node, redex.selected, rule.head, redex.matched, theta
             )
+            if fired is not None:
+                return fired
     return None
 
 

@@ -20,6 +20,7 @@ bounded by the number of pattern children still to be served.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -299,22 +300,11 @@ _COMPARISONS = {
 def _arith(t: Term) -> int | None:
     if isinstance(t, Num):
         return t.value
-    if isinstance(t, App) and t.functor == "+":
-        total = 0
-        for a in t.args:
-            v = _arith(a)
-            if v is None:
-                return None
-            total += v
-        return total
-    if isinstance(t, App) and t.functor == "*":
-        total = 1
-        for a in t.args:
-            v = _arith(a)
-            if v is None:
-                return None
-            total *= v
-        return total
+    if isinstance(t, App) and t.functor in ("+", "*"):
+        values = [_arith(a) for a in t.args]
+        if None in values:
+            return None
+        return sum(values) if t.functor == "+" else math.prod(values)
     if isinstance(t, App) and t.functor == "size" and len(t.args) == 1:
         return size(t.args[0])
     return None
@@ -328,26 +318,23 @@ def guard_holds(guard: Term, theta: Subst) -> bool:
     arithmetic expressions built from integers, +, * and size/1. Any other
     term simply does not hold.
     """
-    if isinstance(guard, App):
-        f, n = guard.functor, len(guard.args)
-        if f == "true" and n == 0:
-            return True
-        if f == "false" and n == 0:
-            return False
-        if f == AND:
-            return all(guard_holds(a, theta) for a in guard.args)
-        if f == "var" and n == 1:
-            return isinstance(_instantiate(guard.args[0], theta, frozenset()), Var)
-        if f == "nonvar" and n == 1:
-            return not isinstance(_instantiate(guard.args[0], theta, frozenset()), Var)
-        if f == "!==" and n == 2:
-            lhs = _instantiate(guard.args[0], theta, frozenset())
-            rhs = _instantiate(guard.args[1], theta, frozenset())
-            return ac_key(lhs) != ac_key(rhs)
-        if f in _COMPARISONS and n == 2:
-            lhs = _arith(_instantiate(guard.args[0], theta, frozenset()))
-            rhs = _arith(_instantiate(guard.args[1], theta, frozenset()))
-            if lhs is None or rhs is None:
-                return False
-            return _COMPARISONS[f](lhs, rhs)
+    if not isinstance(guard, App):
+        return False
+    f, n = guard.functor, len(guard.args)
+    if f == "true" and n == 0:
+        return True
+    if f == "false" and n == 0:
+        return False
+    if f == AND:
+        return all(guard_holds(a, theta) for a in guard.args)
+    args = [_instantiate(a, theta, frozenset()) for a in guard.args]
+    if f == "var" and n == 1:
+        return isinstance(args[0], Var)
+    if f == "nonvar" and n == 1:
+        return not isinstance(args[0], Var)
+    if f == "!==" and n == 2:
+        return ac_key(args[0]) != ac_key(args[1])
+    if f in _COMPARISONS and n == 2:
+        lhs, rhs = map(_arith, args)
+        return lhs is not None and rhs is not None and _COMPARISONS[f](lhs, rhs)
     return False

@@ -9,10 +9,10 @@ refused rather than handled slowly or incompletely.
 
 The oracle's own parts are the matcher and the state key: `_arrangements`
 (the binary views, annotated terms whose AC nodes are binary), `_match_b`,
-`_cc_matches`, `_root_ok` and `_relabel`. Everything after a match comes from
-the engine, applied to the oracle's own matched view: the history entry
-(`engine.entry_of`), the bindings flattened back (`engine._flatten_annotated`)
-and the successor state (`engine._successor`).
+`_cc_matches`, `_root_ok` and `_relabel`. Each match is handed, as the head
+view, the matched view and the bindings, to `engine._successor`, the firing
+routine the engine uses too: guard, history check and entry, body instance,
+history renaming and the successor state.
 """
 
 from __future__ import annotations
@@ -20,19 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .engine import (
-    EngineState,
-    HistoryEntry,
-    TraceStep,
-    _flatten_annotated,
-    _rename,
-    _renamings,
-    _successor,
-    entry_of,
-    initial_state,
-)
-from .matching import _instantiate, guard_holds
-from .rules import PROPAGATION, SIMPAGATION, Program, Rule
+from .engine import EngineState, HistoryEntry, TraceStep, _successor, initial_state
+from .rules import SIMPAGATION, Program, Rule
 from .terms import (
     AC_FUNCTORS,
     AND,
@@ -51,7 +40,6 @@ from .terms import (
     size,
     strip,
     subterms,
-    vars_of,
 )
 
 
@@ -122,27 +110,22 @@ def _arrangements(t: ATerm, cap: int) -> list:
     return arr(t)
 
 
-def _match_b(pattern: ATerm, subject: ATerm, theta, occ):
+def _match_b(pattern: ATerm, subject: ATerm, theta):
     """Plain first-order match of two binary views; None on mismatch.
 
     Pattern variables bind binary subtrees; repeated variables must bind
-    structurally identical subtrees modulo identifiers. Each variable
-    occurrence is recorded in `occ` for history updating. theta is never
+    structurally identical subtrees modulo identifiers. theta is never
     mutated; a new binding returns a new dict.
     """
     if isinstance(pattern, AVar):
         name = pattern.name
         bound = theta.get(name)
-        if bound is not None:
-            # structural, not ac_key: engine._renamings pairs each occurrence
-            # with the body's copy node by node, so an AC-equal occurrence in
-            # another order would pair the wrong identifiers
-            if strip(bound) != strip(subject):
-                return None
-            occ.append((name, subject))
-            return theta
-        occ.append((name, subject))
-        return {**theta, name: subject}
+        if bound is None:
+            return {**theta, name: subject}
+        # structural, not ac_key: engine.update_history pairs each occurrence
+        # with the body's copy of the binding node by node, so an AC-equal
+        # occurrence in another order would pair the wrong identifiers
+        return theta if strip(bound) == strip(subject) else None
     if isinstance(pattern, ANum):
         return theta if isinstance(subject, ANum) and subject.value == pattern.value else None
     if (
@@ -152,7 +135,7 @@ def _match_b(pattern: ATerm, subject: ATerm, theta, occ):
     ):
         return None
     for pa, sa in zip(pattern.args, subject.args):
-        theta = _match_b(pa, sa, theta, occ)
+        theta = _match_b(pa, sa, theta)
         if theta is None:
             return None
     return theta
@@ -218,7 +201,7 @@ def _cc_matches(cc_head: Term, elements, theta, arrs):
                 continue
             for e_arr in arrs(elems[j]):
                 for c_arr in conj_arrs[i]:
-                    th2 = _match_b(c_arr, e_arr, th, [])
+                    th2 = _match_b(c_arr, e_arr, th)
                     if th2 is not None:
                         yield from assign(i + 1, used | {j}, th2)
 
@@ -240,9 +223,10 @@ def enumerate_transitions(
     arr_cache: dict[ATerm, list] = {}
 
     def arrs(t: ATerm) -> list:
-        if t not in arr_cache:
-            arr_cache[t] = _arrangements(t, MAX_ARRANGEMENTS)
-        return arr_cache[t]
+        views = arr_cache.get(t)
+        if views is None:
+            views = arr_cache[t] = _arrangements(t, MAX_ARRANGEMENTS)
+        return views
 
     head_arrs: dict[str, list] = {}
 
@@ -252,7 +236,6 @@ def enumerate_transitions(
             head_arrs[rule.name] = arrs(ha)
         return head_arrs[rule.name]
 
-    goal_vars = vars_of(goal)
     successors: list[tuple[EngineState, TraceStep]] = []
     seen = set()
 
@@ -271,8 +254,7 @@ def enumerate_transitions(
                     continue
                 for s_arr in arrs(focus):
                     for h_arr in head_arrangements(rule):
-                        occ: list = []
-                        theta = _match_b(h_arr, s_arr, {}, occ)
+                        theta = _match_b(h_arr, s_arr, {})
                         if theta is None:
                             continue
                         if rule.kind == SIMPAGATION:
@@ -282,28 +264,16 @@ def enumerate_transitions(
                         else:
                             theta_iter = iter((theta,))
                         for th in theta_iter:
-                            th_terms = {k: _flatten_annotated(v) for k, v in th.items()}
-                            if not guard_holds(rule.guard, th_terms):
+                            fired = _successor(
+                                rule, state, path, node, selected, h_arr, s_arr, th
+                            )
+                            if fired is None:
                                 continue
-                            entry = None
-                            if rule.kind == PROPAGATION:
-                                entry = entry_of(rule.name, s_arr)
-                                if entry in state.history:
-                                    continue
-                            body_plain = _instantiate(rule.body, th_terms, goal_vars)
-                            body, next_id = annotate_from(body_plain, state.next_id)
-                            bound = ((name, _flatten_annotated(b)) for name, b in occ)
-                            history = _rename(
-                                state.history, _renamings(bound, rule.body, body)
-                            )
-                            succ, ts = _successor(
-                                rule, state, path, node, selected, s_arr,
-                                body, next_id, history, entry,
-                            )
+                            succ, ts = fired
                             key = (rule.name, ac_key(ts.goal_after), ts.entry, succ.history)
                             if key not in seen:
                                 seen.add(key)
-                                successors.append((succ, ts))
+                                successors.append(fired)
     return successors
 
 

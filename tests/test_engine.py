@@ -30,6 +30,7 @@ from acdterm.engine import (
     format_step,
     step_record,
 )
+from acdterm.terms import annotate_from
 
 P = parse_term
 AND = "/\\"
@@ -91,6 +92,19 @@ def test_update_history_no_shared_variables():
     head_inst = annotate(0, P("f(a)"))
     body_inst = annotate(ids_of(head_inst), P("b"))
     assert update_history(P("f(a)"), head_inst, P("b"), body_inst, h0) == h0
+
+
+def test_update_history_accepts_an_annotated_head_view():
+    # the oracle passes its annotated view of the head; both X occurrences
+    # must rename onto both copies as they do for the plain head
+    head, body = P("f(X, g(X))"), P("h(X) /\\ k(X)")
+    head_inst = annotate(1, P("f(p(a), g(p(a)))"))
+    body_inst = annotate(7, P("h(p(a)) /\\ k(p(a))"))
+    h0 = frozenset({HistoryEntry("r", (2, 1))})
+    plain = update_history(head, head_inst, body, body_inst, h0)
+    assert plain == h0 | {HistoryEntry("r", (8, 7)), HistoryEntry("r", (11, 10))}
+    view = annotate_from(head, 0)[0]
+    assert update_history(view, head_inst, body, body_inst, h0) == plain
 
 
 # --- step ------------------------------------------------------------------------------

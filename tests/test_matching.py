@@ -151,7 +151,7 @@ def test_match_completeness_against_rearrangement_oracle():
             brute = set()
             for s_arr in _arrangements(sa, 100_000):
                 for p_arr in _arrangements(pa, 100_000):
-                    th = _match_b(p_arr, s_arr, {}, [])
+                    th = _match_b(p_arr, s_arr, {})
                     if th is not None:
                         brute.add(
                             tuple(sorted((k, str(canonical(v))) for k, v in th.items()))

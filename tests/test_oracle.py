@@ -155,6 +155,9 @@ def test_engine_successor_is_an_oracle_successor(
         (parse_program("m @ a \\/ b ==> m."), "a \\/ b \\/ c"),
         (parse_program("p @ X + Y ==> q(X)."), "a + b + c"),
         (parse_program("p @ a + Y ==> size(Y) > 1 | q(Y)."), "a + b + c"),
+        # a guard and a body over a group binding, which the oracle's views
+        # keep nested
+        (parse_program("r @ X + Y <=> X !== Y | s(X) /\\ s(Y)."), "a + b + c"),
     ]
     checked = 0
     for prog, src in cases:
@@ -172,7 +175,7 @@ def test_engine_successor_is_an_oracle_successor(
             assert (mine.goal, mine.history) in theirs, (src, nxt[1].rule)
             state = nxt[0]
             checked += 1
-    assert checked == 34
+    assert checked == 36
 
 
 # --- meta-oracle spot check -------------------------------------------------------
