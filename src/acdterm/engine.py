@@ -7,6 +7,11 @@ so traces are reproducible. Simplification replaces the matched instance with
 the freshly annotated body, propagation conjoins the body with the matched
 instance and records a history entry, simpagation additionally requires its
 context head to match within the conjunctive context of the focus.
+
+The history holds only entries whose identifiers are all in the goal: each
+transition drops the others. That changes no transition, since identifiers
+are never reused and the history renaming maps only live identifiers, so an
+entry naming a removed node can never again equal the entry of a match.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .terms import (
     aapp,
     annotate_from,
     conjunctive_context,
+    ids_of,
     replace_at,
     strip,
     subterms,
@@ -126,6 +132,8 @@ def update_history(
     identifier, and the renamed entry is added. The head may be a plain
     pattern or an annotated view of one aligned with head_inst.
     """
+    if not h0:
+        return h0
     copies: dict[str, list[ATerm]] = {}
     for name, copy in _occurrences(body, body_inst):
         copies.setdefault(name, []).append(copy)
@@ -201,7 +209,8 @@ def _successor(
     and records the entry; a selection of a node other than `/\\` becomes a
     node of its own with a fresh identifier. The result replaces the
     selected children of `node`, the goal node at path, or the whole node
-    when `selected` is None.
+    when `selected` is None. Entries naming an identifier that has left the
+    goal are dropped from the history: no later match can produce them.
     """
     if not guard_holds(rule.guard, theta):
         return None
@@ -210,7 +219,8 @@ def _successor(
         entry = entry_of(rule.name, matched)
         if entry in state.history:
             return None
-    body_plain = _instantiate(rule.body, theta, vars_of(state.goal))
+    taken = vars_of(state.goal) if rule.fresh_vars else frozenset()
+    body_plain = _instantiate(rule.body, theta, taken)
     body, next_id = annotate_from(body_plain, state.next_id)
     history = update_history(head, matched, rule.body, body, state.history)
     replacement = _flatten_annotated(body)
@@ -225,6 +235,9 @@ def _successor(
     if selected is not None:
         replacement = _splice(node, selected, replacement)
     goal = replace_at(state.goal, replacement, path)
+    if history:
+        live = ids_of(goal)
+        history = frozenset(e for e in history if live.issuperset(e.ids))
     ts = TraceStep(
         index=1,
         rule=rule.name,

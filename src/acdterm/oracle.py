@@ -2,10 +2,14 @@
 
 Transitions are enumerated by generate-and-test: every focus (each node, and
 every proper submultiset of an AC node's children), every binary AC
-rearrangement of focus and rule head, and plain first-order matching between
-the two binary views. This is exponential and deliberately shares none of the
-matcher's submultiset assignment machinery; goals beyond the size bound are
-refused rather than handled slowly or incompletely.
+rearrangement of the focus against every binary shape of the rule head in its
+written child order, and plain first-order matching between the two binary
+views. Permuting the focus alone reaches every assignment of goal nodes to
+head children; permuting the head too would reach each assignment once per
+head order, each with its own history entry, so a propagation would fire
+again on the same nodes. This is exponential and deliberately shares none of
+the matcher's submultiset assignment machinery; goals beyond the size bound
+are refused rather than handled slowly or incompletely.
 
 The oracle's own parts are the matcher and the state key: `_arrangements`
 (the binary views, annotated terms whose AC nodes are binary), `_match_b`,
@@ -18,10 +22,11 @@ history renaming and the successor state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .engine import EngineState, HistoryEntry, TraceStep, _successor, initial_state
-from .rules import SIMPAGATION, Program, Rule
+from .rules import SIMPAGATION, Program
 from .terms import (
     AC_FUNCTORS,
     AND,
@@ -77,16 +82,17 @@ def _shapes(items: tuple, functor: str, root_id: int) -> list:
     return out
 
 
-def _arrangements(t: ATerm, cap: int) -> list:
+def _arrangements(t: ATerm, cap: int, permute: bool = True) -> list:
     """All binary AC rearrangements of an annotated term, as annotated terms.
 
-    AC nodes are strictly binary. Every node keeps its identifier, an AC
-    node's on the root of each of its shapes; the synthetic nodes below that
-    root carry id -1, so a view flattened back carries the term's own
-    identifiers. The only view of a variable, a number or a constant is the
-    node itself. Raises OracleSizeError as soon as a batch of trees (one
-    child order of an AC node, or one free node) takes the trees built,
-    subterms' included, past `cap`."""
+    AC nodes are strictly binary; with `permute` False each AC node keeps its
+    children's order and only the shapes vary. Every node keeps its
+    identifier, an AC node's on the root of each of its shapes; the synthetic
+    nodes below that root carry id -1, so a view flattened back carries the
+    term's own identifiers. The only view of a variable, a number or a
+    constant is the node itself. Raises OracleSizeError as soon as a batch of
+    trees (one child order of an AC node, or one free node) takes the trees
+    built, subterms' included, past `cap`."""
     count = 0
 
     def arr(node):
@@ -97,7 +103,8 @@ def _arrangements(t: ATerm, cap: int) -> list:
         results = []
         for combo in product(*[arr(a) for a in node.args]):
             if f in AC_FUNCTORS:
-                batches = (_shapes(perm, f, node.id) for perm in permutations(combo))
+                orders = permutations(combo) if permute else (combo,)
+                batches = (_shapes(order, f, node.id) for order in orders)
             else:
                 batches = ([AApp(f, combo, node.id) if combo else node],)
             for batch in batches:
@@ -108,6 +115,16 @@ def _arrangements(t: ATerm, cap: int) -> list:
         return results
 
     return arr(t)
+
+
+@lru_cache(maxsize=1024)
+def _pattern_views(pattern: Term) -> tuple:
+    """The binary views of a rule pattern in written child order.
+
+    Built once per pattern; their identifiers are the pattern's own, from 0.
+    """
+    annotated, _ = annotate_from(pattern, 0)
+    return tuple(_arrangements(annotated, MAX_ARRANGEMENTS, permute=False))
 
 
 def _match_b(pattern: ATerm, subject: ATerm, theta):
@@ -186,10 +203,7 @@ def _cc_matches(cc_head: Term, elements, theta, arrs):
         conjuncts = (cc_head,)
     elems = list(elements) + [AApp("true", (), -2)]
     n = len(elems)
-    conj_arrs = []
-    for c in conjuncts:
-        ca, _ = annotate_from(c, 0)
-        conj_arrs.append(arrs(ca))
+    conj_arrs = [_pattern_views(c) for c in conjuncts]
 
     def assign(i, used, th):
         if i == len(conjuncts):
@@ -228,14 +242,7 @@ def enumerate_transitions(
             views = arr_cache[t] = _arrangements(t, MAX_ARRANGEMENTS)
         return views
 
-    head_arrs: dict[str, list] = {}
-
-    def head_arrangements(rule: Rule) -> list:
-        if rule.name not in head_arrs:
-            ha, _ = annotate_from(rule.head, 0)
-            head_arrs[rule.name] = arrs(ha)
-        return head_arrs[rule.name]
-
+    heads = [(rule, _pattern_views(rule.head)) for rule in program.rules]
     successors: list[tuple[EngineState, TraceStep]] = []
     seen = set()
 
@@ -249,11 +256,11 @@ def enumerate_transitions(
                     foci.append((AApp(node.functor, members, -1), combo))
         for focus, selected in foci:
             context = None  # the focus's context, once a simpagation needs it
-            for rule in program.rules:
+            for rule, head_views in heads:
                 if not _root_ok(rule.head, focus):
                     continue
                 for s_arr in arrs(focus):
-                    for h_arr in head_arrangements(rule):
+                    for h_arr in head_views:
                         theta = _match_b(h_arr, s_arr, {})
                         if theta is None:
                             continue
@@ -285,8 +292,8 @@ def _relabel(state: EngineState) -> EngineState:
 
     One walk puts AC children in (ac_key, identifier) order, numbers the
     nodes in preorder and rebuilds the goal. History entries are renamed
-    alongside; identifiers surviving only in the history get stable numbers
-    after the goal's, and next_id follows them all.
+    alongside; they name only goal identifiers (`engine._successor` drops the
+    rest), and next_id follows them all.
     """
     rho: dict[int, int] = {}
 
@@ -302,9 +309,6 @@ def _relabel(state: EngineState) -> EngineState:
         return AApp(t.functor, tuple(map(walk, args)), new)
 
     goal = walk(state.goal)
-    extra = sorted({i for e in state.history for i in e.ids} - rho.keys())
-    for old in extra:
-        rho[old] = len(rho) + 1
     history = frozenset(
         HistoryEntry(e.rule, tuple(rho[i] for i in e.ids)) for e in state.history
     )

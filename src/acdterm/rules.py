@@ -19,6 +19,8 @@ class Rule:
     body: Term
     guard: Term = TRUE
     cc_head: Term | None = None
+    # body variables that neither head binds: fresh goal variables on firing
+    fresh_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.cc_head is not None) != (self.kind == SIMPAGATION):
@@ -30,6 +32,7 @@ class Rule:
         if loose:
             name = sorted(loose)[0]
             raise ValueError(f"guard variable {name} does not occur in the rule head")
+        object.__setattr__(self, "fresh_vars", vars_of(self.body) - scope)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import count_calls
+from conftest import count_calls, load_program
 
 from acdterm import (
     AApp,
@@ -21,7 +21,7 @@ from acdterm import (
     subterms,
     update_history,
 )
-from acdterm import engine, matching
+from acdterm import engine, enumerate_transitions, matching
 from acdterm.engine import (
     BUDGET_EXHAUSTED,
     NORMAL_FORM,
@@ -30,6 +30,7 @@ from acdterm.engine import (
     format_step,
     step_record,
 )
+from acdterm.rules import Program
 from acdterm.terms import annotate_from
 
 P = parse_term
@@ -236,6 +237,19 @@ def test_body_only_variables_become_fresh():
     assert all(n.startswith("_") for n in names)
 
 
+def test_goal_names_are_read_only_for_rules_with_fresh_variables(
+    monkeypatch, leq_program
+):
+    fresh = parse_program("r @ q(Y) \\ p(X) <=> s(X, Y, Z).")
+    assert fresh.rules[0].fresh_vars == {"Z"}
+    assert all(not r.fresh_vars for r in leq_program.rules)
+    names = count_calls(monkeypatch, engine, "vars_of")
+    run(leq_program, P("leq(X,Y) /\\ leq(Y,Z) /\\ leq(Z,X)"))
+    assert names.calls == 0
+    run(fresh, P("q(a) /\\ p(b) /\\ p(c)"))
+    assert names.calls == 2
+
+
 def test_fresh_variables_avoid_goal_names():
     prog = parse_program("intro @ p(X) <=> q(Fresh).")
     res = run(prog, P("p(_Fresh1)"))
@@ -327,6 +341,55 @@ def test_commutative_refire_random_property(leq_program):
         assert res.status == NORMAL_FORM
         fired = [ts.entry for ts in res.trace if ts.kind == "propagate"]
         assert len(fired) == len(set(fired))
+
+
+# --- history garbage collection ---------------------------------------------------
+
+
+def leq_cycle(n):
+    return P(" /\\ ".join(f"leq(X{i},X{(i + 1) % n})" for i in range(n)))
+
+
+def assert_history_live(state):
+    live = ids_of(state.goal)
+    for e in state.history:
+        assert live.issuperset(e.ids), e
+
+
+def test_history_holds_only_live_identifiers_after_every_step(leq_program):
+    state = initial_state(leq_cycle(5))
+    peak = 0
+    while (nxt := step(state, leq_program)) is not None:
+        state = nxt[0]
+        assert_history_live(state)
+        peak = max(peak, len(state.history))
+    assert peak > 0
+
+
+def test_oracle_successors_hold_only_live_identifiers(leq_program):
+    # two levels of every interleaving: transitivity records entries over
+    # leq(a,b) and leq(b,a), and antisymmetry or idempotence then removes one
+    frontier = [initial_state(P("leq(a,b) /\\ leq(b,a) /\\ leq(b,c)"))]
+    checked = 0
+    for _ in range(2):
+        reached = []
+        for state in frontier:
+            for succ, _ts in enumerate_transitions(state, leq_program):
+                assert_history_live(succ)
+                checked += 1
+                reached.append(succ)
+        frontier = reached
+    assert checked > 10
+    assert any(s.history for s in frontier)
+
+
+def test_history_of_seven_cycle_stays_small():
+    # the run records 8,839 entries; all but these name a removed node
+    leq4 = Program(load_program("leq.acd").rules[:4])
+    res = run(leq4, leq_cycle(7), max_steps=100_000)
+    assert res.status == NORMAL_FORM
+    assert len(res.trace) == 104
+    assert len(res.final.history) == 181
 
 
 # --- AC matching work bounds ----------------------------------------------------

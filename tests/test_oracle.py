@@ -21,10 +21,17 @@ from acdterm import (
     run,
     search_normal_forms,
     step,
+    strip,
     subterms,
     verify_trace,
 )
-from acdterm.engine import EngineState, HistoryEntry, TraceStep, _flatten_annotated
+from acdterm.engine import (
+    NORMAL_FORM,
+    EngineState,
+    HistoryEntry,
+    TraceStep,
+    _flatten_annotated,
+)
 from acdterm.oracle import MAX_GOAL_SIZE, _arrangements, _relabel
 from acdterm.terms import AC_FUNCTORS, AApp, ANum, AVar, ac_key, size
 
@@ -68,6 +75,20 @@ def test_enumerate_commuted_propagations_are_distinct():
     succs = enumerate_transitions(state, prog)
     entries = {ts.entry for _, ts in succs}
     assert len(entries) == 2  # the direct and the commuted matching
+
+
+def test_propagation_fires_once_per_assignment():
+    # {Y -> a} is one assignment of the head b + Y; permuting the head as
+    # well as the goal gave it a second entry, so the oracle fired again
+    # where the engine had stopped
+    prog = parse_program("r0 @ b + Y ==> q(b).")
+    goal = P("a + b")
+    res = run(prog, goal)
+    assert res.status == NORMAL_FORM and len(res.trace) == 1
+    assert enumerate_transitions(res.final, prog) == []
+    result = search_normal_forms(prog, goal)
+    assert not result.truncated
+    assert canonical(strip(res.final.goal)) in result.normal_forms
 
 
 def test_search_cc_change_program(one_subst_program):
@@ -338,7 +359,8 @@ def test_search_truncates_oversized_successors():
 
 
 def test_search_truncates_at_width(leq_program):
-    goal = P("leq(a,b) /\\ leq(b,c)")
+    # 11 states untruncated, so width 3 must cut the search short
+    goal = P("leq(X,Y) /\\ leq(Y,Z) /\\ ~leq(X,Z)")
     full = search_normal_forms(leq_program, goal)
     assert not full.truncated
     narrow = search_normal_forms(leq_program, goal, width=3)
@@ -463,6 +485,8 @@ def test_relabel_matches_reference(
         (unify_program, "f(X) = f(a) /\\ X = Y"),
         (one_subst_program, "not_one(A) /\\ one(A) /\\ one(B)"),
         (golfers_program, "maxOverlap(g1,g2,0) /\\ maxOverlap(g1,g2,1) /\\ holds(true)"),
+        (leq_program, "leq(a,b) /\\ leq(b,a)"),
+        (leq_program, "leq(a,b) /\\ leq(b,c) /\\ leq(c,d)"),
     ]
     checked = 0
     for prog, src in cases:
