@@ -8,6 +8,15 @@ the freshly annotated body, propagation conjoins the body with the matched
 instance and records a history entry, simpagation additionally requires its
 context head to match within the conjunctive context of the focus.
 
+A step tables the goal's nodes by head key (`matching._head`) once, and each
+rule visits, in preorder, only the nodes under its head's key (every node for
+a variable head). Each focus's conjunctive context is built once per step,
+indexed by head key and bound argument (`matching.ContextIndex`), and shared
+by the rules; `match_cc` tries only the elements the index gives. Both
+filters skip only what could not match, so the enumeration order, and with
+it every trace, is that of trying every rule at every position against every
+context element.
+
 The history holds only entries whose identifiers are all in the goal: each
 transition drops the others. That changes no transition, since identifiers
 are never reused and the history renaming maps only live identifiers, so an
@@ -19,7 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Iterator
 
-from .matching import Subst, _instantiate, guard_holds, match_cc, redexes_at
+from .matching import (
+    ContextIndex,
+    Subst,
+    _head,
+    _instantiate,
+    guard_holds,
+    match_cc,
+    redexes_at,
+)
 from .pretty import pretty
 from .rules import PROPAGATION, SIMPAGATION, Program, Rule
 from .terms import (
@@ -250,13 +267,14 @@ def _successor(
 
 
 def _try_rule_at(
-    rule: Rule, state: EngineState, path: Position, node: ATerm
+    rule: Rule, state: EngineState, path: Position, node: ATerm, context_of
 ) -> tuple[EngineState, TraceStep] | None:
     """First applicable redex of one rule anchored at `node`, the goal node at
-    path, applied."""
+    path, applied. `context_of(path, selected)` gives a focus's indexed
+    conjunctive context."""
     for redex in redexes_at(node, rule.head):
         if rule.kind == SIMPAGATION:
-            context = conjunctive_context(state.goal, path, redex.selected)
+            context = context_of(path, redex.selected)
             thetas: Iterator[Subst] = match_cc(rule.cc_head, context, redex.theta)
         else:
             thetas = iter((redex.theta,))
@@ -275,11 +293,35 @@ def initial_state(goal: Term) -> EngineState:
 
 
 def step(state: EngineState, program: Program) -> tuple[EngineState, TraceStep] | None:
-    """One transition: textually first rule at its first redex, or None."""
+    """One transition: textually first rule at its first redex, or None.
+
+    A rule visits, in preorder, only the goal nodes whose head key
+    (`matching._head`) is its head's, or every node for a variable head.
+    """
     nodes = subterms(state.goal)
+    by_head: dict = {}
+    for pair in nodes:
+        by_head.setdefault(_head(pair[1]), []).append(pair)
+    # a focus's context is built once per step and indexed once per distinct
+    # element list: the foci inside one conjunct share their context
+    contexts: dict = {}
+    indexes: dict = {}
+
+    def context_of(path: Position, selected: tuple[int, ...] | None) -> ContextIndex:
+        index = contexts.get((path, selected))
+        if index is None:
+            elements = conjunctive_context(state.goal, path, selected)
+            ids = tuple(e.id for e in elements)
+            index = indexes.get(ids)
+            if index is None:
+                index = indexes[ids] = ContextIndex(elements)
+            contexts[path, selected] = index
+        return index
+
     for rule in program.rules:
-        for path, node in nodes:
-            fired = _try_rule_at(rule, state, path, node)
+        key = _head(rule.head)
+        for path, node in nodes if key is None else by_head.get(key, ()):
+            fired = _try_rule_at(rule, state, path, node, context_of)
             if fired is not None:
                 return fired
     return None

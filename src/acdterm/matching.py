@@ -28,7 +28,6 @@ from typing import Iterator
 from .terms import (
     AC_FUNCTORS,
     AND,
-    TRUE,
     AApp,
     ANum,
     App,
@@ -220,6 +219,36 @@ def redexes_at(node: ATerm, head: Term) -> Iterator[Redex]:
 _CONTEXT_END = AApp("true", (), -1)
 
 
+class ContextIndex:
+    """A conjunctive context, indexed for `match_cc`.
+
+    `elements` are the context's subterms in context order, then the
+    implicit `true`; `by_head` maps each `_head` key to the positions of its
+    elements, ascending. The index on argument k of the elements with a
+    given key, from the argument's `ac_key` to positions, is built the first
+    time a conjunct asks for it.
+    """
+
+    __slots__ = ("elements", "by_head", "_by_arg")
+
+    def __init__(self, context):
+        self.elements = tuple(context) + (_CONTEXT_END,)
+        self.by_head: dict = {}
+        for j, el in enumerate(self.elements):
+            self.by_head.setdefault(_head(el), []).append(j)
+        self._by_arg: dict = {}
+
+    def with_arg(self, key, k: int, bound: ATerm) -> list[int]:
+        """Positions of the elements with head key `key` whose argument k is
+        AC-equal to `bound`, ascending."""
+        table = self._by_arg.get((key, k))
+        if table is None:
+            table = self._by_arg[key, k] = {}
+            for j in self.by_head.get(key, ()):
+                table.setdefault(ac_key(self.elements[j].args[k]), []).append(j)
+        return table.get(ac_key(bound), [])
+
+
 def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
     """Extend theta0 so the pattern's conjuncts match distinct cc elements.
 
@@ -228,30 +257,53 @@ def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
     `true` (tried last, and only by a variable or `true`, the only conjuncts
     it can match). The unmatched rest, the residual, must stay non-empty, so
     there are never more conjuncts than cc elements.
+
+    `cc` is a ContextIndex or a sequence of elements, indexed here. A
+    conjunct tries only the elements with its head key and, when one of its
+    arguments is a variable bound at that point, only those whose argument
+    there is AC-equal to the binding. Both filters drop exactly the elements
+    `_match_node` would refuse, and each bucket keeps context order, so the
+    substitutions come in the order of trying every element in turn.
     """
     if isinstance(cc_pattern, App) and cc_pattern.functor == AND:
         conjuncts = cc_pattern.args
     else:
         conjuncts = (cc_pattern,)
-    elements = tuple(cc)
-    if len(conjuncts) > len(elements):
+    index = cc if isinstance(cc, ContextIndex) else ContextIndex(cc)
+    elements = index.elements
+    if len(conjuncts) >= len(elements):
         return
-    choices = [
-        elements + (_CONTEXT_END,) if isinstance(c, Var) or c == TRUE else elements
+    keys = [_head(c) for c in conjuncts]
+    # each conjunct's (argument position, variable name) pairs, for the
+    # bound-argument lookup; an AC conjunct's arguments have no position
+    var_args = [
+        [(k, a.name) for k, a in enumerate(c.args) if isinstance(a, Var)]
+        if isinstance(c, App) and c.functor not in AC_FUNCTORS
+        else []
         for c in conjuncts
     ]
 
-    def assign(i, used: frozenset[int], th):
+    def candidates(i, th):
+        key = keys[i]
+        if key is None:
+            return range(len(elements))
+        for k, name in var_args[i]:
+            bound = th.get(name)
+            if bound is not None:
+                return index.with_arg(key, k, bound)
+        return index.by_head.get(key, ())
+
+    def assign(i, used: int, th):
         if i == len(conjuncts):
             yield th
             return
-        for j, el in enumerate(choices[i]):
-            if j in used:
+        for j in candidates(i, th):
+            if used >> j & 1:
                 continue
-            for th2, _inst in _match_node(conjuncts[i], el, th):
-                yield from assign(i + 1, used | {j}, th2)
+            for th2, _inst in _match_node(conjuncts[i], elements[j], th):
+                yield from assign(i + 1, used | 1 << j, th2)
 
-    yield from assign(0, frozenset(), dict(theta0))
+    yield from assign(0, 0, dict(theta0))
 
 
 def _instantiate(term: Term, theta: Subst, taken: frozenset[str]) -> Term:

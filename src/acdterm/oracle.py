@@ -43,7 +43,6 @@ from .terms import (
     canonical,
     conjunctive_context,
     size,
-    strip,
     subterms,
 )
 
@@ -127,6 +126,23 @@ def _pattern_views(pattern: Term) -> tuple:
     return tuple(_arrangements(annotated, MAX_ARRANGEMENTS, permute=False))
 
 
+def _same_shape(a: ATerm, b: ATerm) -> bool:
+    """Whether two annotated terms are the same tree when identifiers are
+    ignored (no AC flattening or reordering)."""
+    if a is b:
+        return True
+    if isinstance(a, AApp):
+        return (
+            isinstance(b, AApp)
+            and a.functor == b.functor
+            and len(a.args) == len(b.args)
+            and all(map(_same_shape, a.args, b.args))
+        )
+    if isinstance(a, AVar):
+        return isinstance(b, AVar) and a.name == b.name
+    return isinstance(b, ANum) and a.value == b.value
+
+
 def _match_b(pattern: ATerm, subject: ATerm, theta):
     """Plain first-order match of two binary views; None on mismatch.
 
@@ -142,7 +158,7 @@ def _match_b(pattern: ATerm, subject: ATerm, theta):
         # structural, not ac_key: engine.update_history pairs each occurrence
         # with the body's copy of the binding node by node, so an AC-equal
         # occurrence in another order would pair the wrong identifiers
-        return theta if strip(bound) == strip(subject) else None
+        return theta if _same_shape(bound, subject) else None
     if isinstance(pattern, ANum):
         return theta if isinstance(subject, ANum) and subject.value == pattern.value else None
     if (

@@ -32,7 +32,7 @@ from acdterm.engine import (
     TraceStep,
     _flatten_annotated,
 )
-from acdterm.oracle import MAX_GOAL_SIZE, _arrangements, _relabel
+from acdterm.oracle import MAX_GOAL_SIZE, _arrangements, _match_b, _relabel
 from acdterm.terms import AC_FUNCTORS, AApp, ANum, AVar, ac_key, size
 
 P = parse_term
@@ -432,6 +432,35 @@ def test_arrangements_are_binary_views_of_the_term():
             assert sorted(n.id for n in _nodes(_flatten_annotated(view))) == ids
             checked += 1
     assert checked > 500, checked
+
+
+def test_repeated_variable_bindings_compare_as_plain_trees():
+    # the two bindings of X in f(X, X) must be the same tree once the
+    # identifiers are dropped: no AC reordering or flattening, so `a + b`
+    # does not repeat `b + a`
+    pattern = AApp("f", (AVar("X", 1), AVar("X", 2)), 3)
+
+    def repeats(a, b):
+        subject = AApp("f", (annotate(1, a), annotate(100, b)), 500)
+        return _match_b(pattern, subject, {}) is not None
+
+    for a, b, expected in [
+        ("a + b", "a + b", True),
+        ("a + b", "b + a", False),
+        ("f(X)", "f(Y)", False),
+        ("f(1)", "f(1)", True),
+        ("f(1)", "f(X)", False),
+        ("g(a, b)", "g(a)", False),
+    ]:
+        assert repeats(P(a), P(b)) == expected, (a, b)
+    rng = random.Random(5)
+    same = 0
+    for _ in range(300):
+        a = random_term(rng, depth=2)
+        b = a if rng.random() < 0.4 else random_term(rng, depth=2)
+        assert repeats(a, b) == (a == b)
+        same += a == b
+    assert same > 50
 
 
 # --- relabeling against the previous three-pass definition --------------------------
