@@ -248,6 +248,20 @@ class ContextIndex:
                 table.setdefault(ac_key(self.elements[j].args[k]), []).append(j)
         return table.get(ac_key(bound), [])
 
+    def candidates(self, key, var_args, theta: Subst):
+        """Positions a conjunct with head key `key` may match under theta:
+        every element for a variable (key None), those whose argument is
+        AC-equal to the binding of the first bound variable among the
+        conjunct's `var_args` (argument position, name), else those with
+        the key."""
+        if key is None:
+            return range(len(self.elements))
+        for k, name in var_args:
+            bound = theta.get(name)
+            if bound is not None:
+                return self.with_arg(key, k, bound)
+        return self.by_head.get(key, ())
+
 
 def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
     """Extend theta0 so the pattern's conjuncts match distinct cc elements.
@@ -270,40 +284,34 @@ def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
     else:
         conjuncts = (cc_pattern,)
     index = cc if isinstance(cc, ContextIndex) else ContextIndex(cc)
-    elements = index.elements
-    if len(conjuncts) >= len(elements):
+    if len(conjuncts) >= len(index.elements):
         return
-    keys = [_head(c) for c in conjuncts]
-    # each conjunct's (argument position, variable name) pairs, for the
-    # bound-argument lookup; an AC conjunct's arguments have no position
-    var_args = [
-        [(k, a.name) for k, a in enumerate(c.args) if isinstance(a, Var)]
-        if isinstance(c, App) and c.functor not in AC_FUNCTORS
-        else []
+    # an AC conjunct's arguments have no fixed position to index
+    specs = [
+        (
+            c,
+            _head(c),
+            [(k, a.name) for k, a in enumerate(c.args) if isinstance(a, Var)]
+            if isinstance(c, App) and c.functor not in AC_FUNCTORS
+            else [],
+        )
         for c in conjuncts
     ]
+    yield from _match_conjuncts(index, specs, 0, 0, dict(theta0))
 
-    def candidates(i, th):
-        key = keys[i]
-        if key is None:
-            return range(len(elements))
-        for k, name in var_args[i]:
-            bound = th.get(name)
-            if bound is not None:
-                return index.with_arg(key, k, bound)
-        return index.by_head.get(key, ())
 
-    def assign(i, used: int, th):
-        if i == len(conjuncts):
-            yield th
-            return
-        for j in candidates(i, th):
-            if used >> j & 1:
-                continue
-            for th2, _inst in _match_node(conjuncts[i], elements[j], th):
-                yield from assign(i + 1, used | 1 << j, th2)
-
-    yield from assign(0, 0, dict(theta0))
+def _match_conjuncts(index: ContextIndex, specs, i: int, used: int, theta: Subst):
+    # a module-level recursion: a nested generator that calls itself would
+    # keep the context index alive in a reference cycle until the next
+    # garbage collection
+    if i == len(specs):
+        yield theta
+        return
+    conjunct, key, var_args = specs[i]
+    for j in index.candidates(key, var_args, theta):
+        if not used >> j & 1:
+            for th2, _inst in _match_node(conjunct, index.elements[j], theta):
+                yield from _match_conjuncts(index, specs, i + 1, used | 1 << j, th2)
 
 
 def _instantiate(term: Term, theta: Subst, taken: frozenset[str]) -> Term:
