@@ -10,12 +10,16 @@ context head to match within the conjunctive context of the focus.
 
 A step tables the goal's nodes by head key (`matching._head`) once, and each
 rule visits, in preorder, only the nodes under its head's key (every node for
-a variable head). Each focus's conjunctive context is built once per step,
-indexed by head key and bound argument (`matching.ContextIndex`), and shared
-by the rules; `match_cc` tries only the elements the index gives. Both
-filters skip only what could not match, so the enumeration order, and with
-it every trace, is that of trying every rule at every position against every
-context element.
+a variable head). Contexts are indexed by head key and bound argument
+(`matching.ContextIndex`), one index per conjunction per step, shared by the
+rules and by every focus in that conjunction: the index holds the
+conjunction's frame, its ancestors' sibling conjuncts and then all its
+children, and a focus masks the children it lies under or selects
+(`_focus_contexts`), so a conjunction of width w costs one O(w) index per
+step. `match_cc` tries only the unmasked elements the index gives. The
+filters and the mask skip only what could not match or is not in the
+context, so the enumeration order, and with it every trace, is that of
+trying every rule at every position against every context element.
 
 The history holds only entries whose identifiers are all in the goal: each
 transition drops the others. That changes no transition, since identifiers
@@ -160,7 +164,7 @@ def update_history(
             rho: dict[int, int] = {}
             _zip_ids(inst, copy, rho)
             for e in h0:
-                if any(i in rho for i in e.ids):
+                if not rho.keys().isdisjoint(e.ids):
                     out.add(HistoryEntry(e.rule, tuple(rho.get(i, i) for i in e.ids)))
     return frozenset(out)
 
@@ -266,16 +270,60 @@ def _successor(
     return EngineState(goal, history, next_id), ts
 
 
+# The empty context; `match_cc` never looks into it, since every conjunct
+# would leave it without a residual
+_NO_CONTEXT = ContextIndex(())
+
+
+def _focus_contexts(goal: ATerm):
+    """`context_of(path, node, selected)`: the conjunctive context of a focus
+    of goal (`node` at path, or its selected children) as an index and a
+    mask of positions there.
+
+    The index is the frame of the deepest conjunction q strictly above the
+    focus, or of the focus itself when it is a conjunction with a selection:
+    `conjunctive_context(goal, q, ())`, the siblings of q's conjunction
+    ancestors and then all of q's children. It is built once per q, and the
+    mask drops the child of q that the focus lies under, or the selected
+    children. The rest is the focus's context, in order.
+    """
+    # frames[q]: the index of q's frame and the position there of q's child
+    # 0 (its children count from 1)
+    frames: dict = {}
+
+    def context_of(path: Position, node: ATerm, selected: tuple[int, ...] | None):
+        if selected is not None and node.functor == AND:
+            q, conj, children = path, node, selected
+        else:
+            depth = None
+            cur = goal
+            for d, i in enumerate(path):
+                if cur.functor == AND:
+                    depth, conj, children = d, cur, (i,)
+                cur = cur.args[i - 1]
+            if depth is None:
+                return _NO_CONTEXT, 0
+            q = path[:depth]
+        frame = frames.get(q)
+        if frame is None:
+            elements = conjunctive_context(goal, q, ())
+            frame = frames[q] = (ContextIndex(elements), len(elements) - len(conj.args) - 1)
+        index, offset = frame
+        return index, sum(1 << (offset + c) for c in children)
+
+    return context_of
+
+
 def _try_rule_at(
     rule: Rule, state: EngineState, path: Position, node: ATerm, context_of
 ) -> tuple[EngineState, TraceStep] | None:
     """First applicable redex of one rule anchored at `node`, the goal node at
-    path, applied. `context_of(path, selected)` gives a focus's indexed
-    conjunctive context."""
+    path, applied. `context_of(path, node, selected)` gives a focus's
+    conjunctive context as an index and the mask of its positions there."""
     for redex in redexes_at(node, rule.head):
         if rule.kind == SIMPAGATION:
-            context = context_of(path, redex.selected)
-            thetas: Iterator[Subst] = match_cc(rule.cc_head, context, redex.theta)
+            index, masked = context_of(path, node, redex.selected)
+            thetas: Iterator[Subst] = match_cc(rule.cc_head, index, redex.theta, masked)
         else:
             thetas = iter((redex.theta,))
         for theta in thetas:
@@ -298,28 +346,12 @@ def step(state: EngineState, program: Program) -> tuple[EngineState, TraceStep] 
     A rule visits, in preorder, only the goal nodes whose head key
     (`matching._head`) is its head's, or every node for a variable head.
     """
-    nodes = subterms(state.goal)
+    goal = state.goal
+    nodes = subterms(goal)
     by_head: dict = {}
     for pair in nodes:
         by_head.setdefault(_head(pair[1]), []).append(pair)
-    # a focus's context is built once per step and indexed once per distinct
-    # element list: the foci inside one conjunct share their context
-    contexts: dict = {}
-    indexes: dict = {}
-
-    def context_of(path: Position, selected: tuple[int, ...] | None) -> ContextIndex:
-        index = contexts.get((path, selected))
-        if index is None:
-            elements = conjunctive_context(state.goal, path, selected)
-            # from a list: a tuple grown from a generator, once per focus,
-            # left the process 0.5 MB larger on the unification workload
-            ids = tuple([e.id for e in elements])
-            index = indexes.get(ids)
-            if index is None:
-                index = indexes[ids] = ContextIndex(elements)
-            contexts[path, selected] = index
-        return index
-
+    context_of = _focus_contexts(goal)
     for rule in program.rules:
         key = _head(rule.head)
         for path, node in nodes if key is None else by_head.get(key, ()):

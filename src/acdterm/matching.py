@@ -88,15 +88,18 @@ def _match_node(pattern: Term, subject: ATerm, theta: Subst) -> Iterator[tuple[S
         return
     if len(subject.args) != len(pattern.args):
         return
+    yield from _match_args(pattern, subject, 0, theta, [])
 
-    def walk(i, th, insts):
-        if i == len(pattern.args):
-            yield th, AApp(subject.functor, tuple(insts), subject.id)
-            return
-        for th2, inst in _match_node(pattern.args[i], subject.args[i], th):
-            yield from walk(i + 1, th2, insts + [inst])
 
-    yield from walk(0, theta, [])
+def _match_args(pattern: App, subject: AApp, i: int, theta: Subst, insts: list):
+    # The matcher's recursions are module-level functions: a nested function
+    # that calls itself is a reference cycle, left for the cyclic collector
+    # after every call
+    if i == len(pattern.args):
+        yield theta, AApp(subject.functor, tuple(insts), subject.id)
+        return
+    for th2, inst in _match_node(pattern.args[i], subject.args[i], theta):
+        yield from _match_args(pattern, subject, i + 1, th2, insts + [inst])
 
 
 def _head(t: Term | ATerm):
@@ -120,7 +123,6 @@ def _match_ac(pattern: App, subject: AApp, theta: Subst, full: bool):
     """
     pat_children = pattern.args
     sub_children = subject.args
-    m = len(pat_children)
     n = len(sub_children)
     # fits[i]: bitmask of the subject children whose head symbol fits
     # pattern child i, None for a variable
@@ -129,63 +131,70 @@ def _match_ac(pattern: App, subject: AApp, theta: Subst, full: bool):
         key = _head(s)
         by_head[key] = by_head.get(key, 0) | 1 << j
     fits = [None if key is None else by_head.get(key, 0) for key in map(_head, pat_children)]
+    table = (pat_children, sub_children, fits, subject, full)
+    yield from _ac_assign(table, 0, tuple(range(n)), (1 << n) - 1, theta, [])
 
-    def feasible(ks: tuple[int, ...], free: int, th) -> bool:
-        # can pattern children ks take distinct children in free under th?
-        if not ks:
-            return True
-        p = pat_children[ks[0]]
-        candidates = fits[ks[0]] & free
-        for j in range(n):
-            if candidates >> j & 1:
-                for th2, _inst in _match_node(p, sub_children[j], th):
-                    if feasible(ks[1:], free & ~(1 << j), th2):
-                        return True
-        return False
 
+def _ac_feasible(table, ks: tuple[int, ...], free: int, th: Subst) -> bool:
+    """Whether pattern children ks can take distinct subject children in
+    `free` under th; `table` is `_match_ac`'s (pattern children, subject
+    children, fits, subject, full)."""
+    if not ks:
+        return True
+    pat_children, sub_children, fits, _subject, _full = table
+    p = pat_children[ks[0]]
+    candidates = fits[ks[0]] & free
+    for j in range(len(sub_children)):
+        if candidates >> j & 1:
+            for th2, _inst in _match_node(p, sub_children[j], th):
+                if _ac_feasible(table, ks[1:], free & ~(1 << j), th2):
+                    return True
+    return False
+
+
+def _ac_assign(table, i: int, unused: tuple[int, ...], free: int, th: Subst, insts: list):
     # `unused` lists the subject children not yet taken, in node order;
     # `free` is the same set as a bitmask
-    def assign(i, unused: tuple[int, ...], free: int, th, insts):
-        if i == m:
-            if full and unused:
-                return
-            yield th, AApp(subject.functor, tuple(insts), subject.id), unused
+    pat_children, sub_children, fits, subject, full = table
+    m = len(pat_children)
+    if i == m:
+        if full and unused:
             return
-        for k in range(i, m):
-            if fits[k] is not None and not fits[k] & free:
-                return
-        p = pat_children[i]
-        fit = fits[i]
-        if fit is None:
-            later = tuple(k for k in range(i + 1, m) if fits[k] is not None)
-            if not feasible(later, free, th):
-                return
-            bound = th.get(p.name)
-            # every later pattern child takes at least one subject child,
-            # and under full=True with no later variable exactly one
-            top = len(unused) - (m - i - 1)
-            low = top if full and len(later) == m - i - 1 else 1
-            for k in range(low, top + 1):
-                for combo in combinations(unused, k):
-                    members = tuple(sub_children[j] for j in combo)
-                    inst = _group_term(subject.functor, members, subject.id)
-                    if bound is not None:
-                        if not ac_equal(bound, inst):
-                            continue
-                        th2 = th
-                    else:
-                        th2 = {**th, p.name: inst}
-                    rest = tuple(j for j in unused if j not in combo)
-                    taken = sum(1 << j for j in combo)
-                    yield from assign(i + 1, rest, free - taken, th2, insts + [inst])
-        else:
-            for j in unused:
-                if fit >> j & 1:
-                    for th2, inst in _match_node(p, sub_children[j], th):
-                        rest = tuple(x for x in unused if x != j)
-                        yield from assign(i + 1, rest, free & ~(1 << j), th2, insts + [inst])
-
-    yield from assign(0, tuple(range(n)), (1 << n) - 1, theta, [])
+        yield th, AApp(subject.functor, tuple(insts), subject.id), unused
+        return
+    for k in range(i, m):
+        if fits[k] is not None and not fits[k] & free:
+            return
+    p = pat_children[i]
+    fit = fits[i]
+    if fit is None:
+        later = tuple(k for k in range(i + 1, m) if fits[k] is not None)
+        if not _ac_feasible(table, later, free, th):
+            return
+        bound = th.get(p.name)
+        # every later pattern child takes at least one subject child,
+        # and under full=True with no later variable exactly one
+        top = len(unused) - (m - i - 1)
+        low = top if full and len(later) == m - i - 1 else 1
+        for k in range(low, top + 1):
+            for combo in combinations(unused, k):
+                members = tuple(sub_children[j] for j in combo)
+                inst = _group_term(subject.functor, members, subject.id)
+                if bound is not None:
+                    if not ac_equal(bound, inst):
+                        continue
+                    th2 = th
+                else:
+                    th2 = {**th, p.name: inst}
+                rest = tuple(j for j in unused if j not in combo)
+                taken = sum(1 << j for j in combo)
+                yield from _ac_assign(table, i + 1, rest, free - taken, th2, insts + [inst])
+    else:
+        for j in unused:
+            if fit >> j & 1:
+                for th2, inst in _match_node(p, sub_children[j], th):
+                    rest = tuple(x for x in unused if x != j)
+                    yield from _ac_assign(table, i + 1, rest, free & ~(1 << j), th2, insts + [inst])
 
 
 def match(pattern: Term, subject: ATerm) -> Iterator[Subst]:
@@ -220,13 +229,13 @@ _CONTEXT_END = AApp("true", (), -1)
 
 
 class ContextIndex:
-    """A conjunctive context, indexed for `match_cc`.
+    """A conjunctive context, or a conjunction's frame, indexed for `match_cc`.
 
-    `elements` are the context's subterms in context order, then the
-    implicit `true`; `by_head` maps each `_head` key to the positions of its
-    elements, ascending. The index on argument k of the elements with a
-    given key, from the argument's `ac_key` to positions, is built the first
-    time a conjunct asks for it.
+    `elements` are the subterms in context order, then the implicit `true`;
+    `by_head` maps each `_head` key to the positions of its elements,
+    ascending. The index on argument k of the elements with a given key,
+    from the argument's `ac_key` to positions, is built the first time a
+    conjunct asks for it.
     """
 
     __slots__ = ("elements", "by_head", "_by_arg")
@@ -263,7 +272,7 @@ class ContextIndex:
         return self.by_head.get(key, ())
 
 
-def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
+def match_cc(cc_pattern: Term, cc, theta0: Subst, masked: int = 0) -> Iterator[Subst]:
     """Extend theta0 so the pattern's conjuncts match distinct cc elements.
 
     The pattern is split on the top-level conjunction; each conjunct must
@@ -272,19 +281,24 @@ def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
     it can match). The unmatched rest, the residual, must stay non-empty, so
     there are never more conjuncts than cc elements.
 
-    `cc` is a ContextIndex or a sequence of elements, indexed here. A
-    conjunct tries only the elements with its head key and, when one of its
-    arguments is a variable bound at that point, only those whose argument
-    there is AC-equal to the binding. Both filters drop exactly the elements
-    `_match_node` would refuse, and each bucket keeps context order, so the
-    substitutions come in the order of trying every element in turn.
+    `cc` is a ContextIndex or a sequence of elements, indexed here. The bits
+    of `masked` name positions of the index's elements that are not in the
+    context: no conjunct takes them and the residual does not count them.
+    So one index over a conjunction's frame serves every focus in it, each
+    masking the children it lies under; the implicit `true` is never
+    masked. A conjunct tries only the elements with its head key and, when
+    one of its arguments is a variable bound at that point, only those whose
+    argument there is AC-equal to the binding. Both filters drop exactly the
+    elements `_match_node` would refuse, and each bucket keeps index order,
+    so the substitutions come in the order of trying every element of the
+    context in turn.
     """
     if isinstance(cc_pattern, App) and cc_pattern.functor == AND:
         conjuncts = cc_pattern.args
     else:
         conjuncts = (cc_pattern,)
     index = cc if isinstance(cc, ContextIndex) else ContextIndex(cc)
-    if len(conjuncts) >= len(index.elements):
+    if len(conjuncts) >= len(index.elements) - masked.bit_count():
         return
     # an AC conjunct's arguments have no fixed position to index
     specs = [
@@ -297,7 +311,7 @@ def match_cc(cc_pattern: Term, cc, theta0: Subst) -> Iterator[Subst]:
         )
         for c in conjuncts
     ]
-    yield from _match_conjuncts(index, specs, 0, 0, dict(theta0))
+    yield from _match_conjuncts(index, specs, 0, masked, dict(theta0))
 
 
 def _match_conjuncts(index: ContextIndex, specs, i: int, used: int, theta: Subst):

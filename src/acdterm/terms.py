@@ -194,13 +194,15 @@ def replace_at(t, s, p: Position):
 def subterms(t) -> list[tuple[Position, object]]:
     """The (position, subterm) pairs of t in preorder; ((), t) is always first."""
     out: list[tuple[Position, object]] = []
-
-    def walk(node, path: Position):
-        out.append((path, node))
-        for i, a in enumerate(_children(node), start=1):
-            walk(a, path + (i,))
-
-    walk(t, ())
+    # children pushed last to first, so they are popped in node order
+    stack = [((), t)]
+    while stack:
+        pair = stack.pop()
+        out.append(pair)
+        path, node = pair
+        args = _children(node)
+        for i in range(len(args), 0, -1):
+            stack.append((path + (i,), args[i - 1]))
     return out
 
 

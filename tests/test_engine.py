@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -448,3 +449,25 @@ def test_leq_corpus_reaches_normal_form_on_five_cycle(monkeypatch, leq_program):
         else:
             parent[find(left.name)] = find(right.name)
     assert len({find(v) for v in parent}) == 1
+
+
+def test_run_leaves_no_cyclic_garbage(leq_program, unify_program):
+    # the matcher's recursions are module-level functions: a nested function
+    # that calls itself would leave a reference cycle after every call
+    cases = [
+        (leq_program, P("leq(A,B) /\\ leq(B,C) /\\ leq(C,A)")),
+        (unify_program, P("X = f(Y) /\\ Y = f(Z) /\\ W = X /\\ Z = a /\\ f(W) = f(f(f(a)))")),
+    ]
+    for program, goal in cases:
+        first = run(program, goal)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            again = run(program, goal)
+            gc.collect()
+            assert not gc.garbage, [type(o).__name__ for o in gc.garbage[:20]]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert again.trace == first.trace and first.status == NORMAL_FORM

@@ -22,7 +22,7 @@ from acdterm import (
     strip,
     subterms,
 )
-from acdterm.matching import _group_term, _instantiate, _match_node, redexes_at
+from acdterm.matching import ContextIndex, _group_term, _instantiate, _match_node, redexes_at
 from acdterm.terms import AC_FUNCTORS, AApp, ANum
 
 P = parse_term
@@ -368,6 +368,47 @@ def test_match_cc_trailing_true():
     thetas = [plain(t) for t in match_cc(P("b /\\ true"), [A("b"), A("c")], {})]
     assert thetas == [{}]
     assert list(match_cc(P("b /\\ true"), [A("b")], {})) == []
+
+
+def _masked(srcs, *positions):
+    """A ContextIndex over the elements and the mask of the given positions."""
+    return ContextIndex([A(src) for src in srcs]), sum(1 << j for j in positions)
+
+
+def test_match_cc_never_binds_a_masked_element():
+    index, mask = _masked(["p(a)", "p(b)", "p(c)"], 0, 2)
+    thetas = [plain(t) for t in match_cc(P("p(X)"), index, {}, mask)]
+    assert thetas == [{"X": App("b")}]
+    # a variable conjunct skips the masked elements too, then takes `true`
+    thetas = [plain(t) for t in match_cc(P("V"), index, {}, mask)]
+    assert thetas == [{"V": P("p(b)")}, {"V": App("true")}]
+    # with a bound argument, the argument index skips them as well
+    assert list(match_cc(P("p(X)"), index, {"X": A("a")}, mask)) == []
+    assert [plain(t) for t in match_cc(P("p(X)"), index, {"X": A("a")})] == [{"X": App("a")}]
+
+
+def test_match_cc_residual_counts_unmasked_elements():
+    # p(a) masked leaves only the implicit true, which the residual needs
+    index, mask = _masked(["p(a)"], 0)
+    assert list(match_cc(P("p(X)"), index, {}, mask)) == []
+    assert list(match_cc(P("V"), index, {}, mask)) == []
+    assert list(match_cc(P("true"), index, {}, mask)) == []
+    # two elements, one masked: as the one-element context [p(a)]
+    index, mask = _masked(["p(a)", "p(b)"], 1)
+    assert list(match_cc(P("p(X) /\\ V"), index, {}, mask)) == []
+    assert list(match_cc(P("p(X) /\\ V"), [A("p(a)")], {})) == []
+    assert len(list(match_cc(P("p(X) /\\ V"), index, {}))) == 4
+
+
+def test_match_cc_true_stays_last_and_unmasked():
+    index, mask = _masked(["b", "true", "c"], 0)
+    assert index.elements[-1] == AApp("true", (), -1)
+    thetas = [plain(t) for t in match_cc(P("V"), index, {}, mask)]
+    assert thetas == [{"V": App("true")}, {"V": App("c")}, {"V": App("true")}]
+    # the context's own `true`, masked, leaves the implicit one
+    index, mask = _masked(["true", "c"], 0)
+    assert list(match_cc(P("true"), index, {}, mask)) == [{}]
+    assert list(match_cc(P("true /\\ true"), index, {}, mask)) == []
 
 
 # --- guards ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 `engine.step` visits a rule's candidate nodes through a head-key table and
 `matching.match_cc` tries a conjunct's candidate elements through a head and
-bound-argument index. Both are meant to drop only what could not match, in
-the same order. The references here try everything: every element in
-context order with the implicit `true` last, and every rule at every
-preorder position.
+bound-argument index, over one frame per conjunction with the focus masked.
+All of these are meant to drop only what could not match or is not in the
+context, in the same order. The references here try everything: every
+element of `conjunctive_context` in context order with the implicit `true`
+last, and every rule at every preorder position.
 """
 
+import itertools
 import random
 
 from conftest import load_program
@@ -17,7 +19,7 @@ from acdterm import engine, parse_program, parse_term
 from acdterm.engine import initial_state, step
 from acdterm.matching import ContextIndex, _CONTEXT_END, _match_node, match_cc, redexes_at
 from acdterm.rules import SIMPAGATION
-from acdterm.terms import AND, App, annotate_from, conjunctive_context, subterms
+from acdterm.terms import AC_FUNCTORS, AND, AApp, App, annotate_from, conjunctive_context, subterms
 
 P = parse_term
 
@@ -63,7 +65,10 @@ def _annotated(src, next_id):
 
 def test_match_cc_keeps_the_reference_order():
     rng = random.Random(7)
-    checked = matched = 0
+    # a frame with the focus masked enumerates as the context without it;
+    # the masks come from a stream of their own
+    masks = random.Random(11)
+    checked = matched = matched_masked = 0
     for _ in range(400):
         next_id = 1
         elements = []
@@ -83,7 +88,13 @@ def test_match_cc_keeps_the_reference_order():
             assert list(match_cc(pattern, elements, theta0)) == expected
             checked += 1
             matched += bool(expected)
+            mask = masks.getrandbits(len(elements))
+            rest = [el for j, el in enumerate(elements) if not mask >> j & 1]
+            in_rest = list(_ref_match_cc(pattern, rest, theta0))
+            assert list(match_cc(pattern, index, theta0, mask)) == in_rest, (pattern, rest)
+            matched_masked += bool(in_rest) and mask != 0
     assert matched > checked // 10
+    assert matched_masked > checked // 20
 
 
 def _ref_step(state, program):
@@ -159,3 +170,77 @@ def test_step_fires_as_the_exhaustive_loop_on_ac_heads():
         """
     )
     _walk_agrees(shared, P("q(a) /\\ s(a) /\\ w(b) /\\ w(c)"), max_steps=5)
+
+
+def test_step_fires_as_the_exhaustive_loop_in_nested_frames():
+    # conjunctions under `\/`, under `f/1` inside a conjunction, and an
+    # AC-headed simpagation whose selection lies in an inner conjunction:
+    # contexts that only frames below the root reach
+    program = parse_program(
+        """
+        sel  @ p(X) \\ q(X) /\\ s(Y) <=> t(X,Y).
+        drop @ u(Z) \\ u(Z) <=> true.
+        deep @ t(X,Y) \\ h(s(X)) <=> t(Y,X).
+        """
+    )
+    for src in [
+        "p(a) /\\ f(q(a) /\\ s(b) /\\ p(b)) /\\ (q(b) \\/ (s(a) /\\ p(a)))",
+        "f(q(b) /\\ s(a) /\\ p(b)) /\\ p(a) /\\ g(q(a) /\\ s(a), p(a) /\\ f(q(a) /\\ s(b)))",
+        "u(a) /\\ f(u(a) /\\ u(b)) /\\ (u(b) \\/ (u(a) /\\ u(b) /\\ f(u(b))))",
+        "p(a) /\\ (q(a) /\\ s(b) \\/ q(b) /\\ s(a)) /\\ h(s(a)) /\\ f(h(s(b)) /\\ p(b)) /\\ t(b,a)",
+    ]:
+        _walk_agrees(program, P(src), max_steps=30)
+
+
+_LEAVES = ["p(a)", "p(b)", "q(a)", "s(b)", "u(a)", "a", "X"]
+
+
+def _nested_goal(rng, depth, parent=None):
+    """A goal with conjunctions nested under conjunctions, `\\/` and
+    non-AC functors; an AC node is never the child of its own functor, which
+    would flatten it away."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_LEAVES)
+    kind = rng.choice([k for k in ("/\\", "/\\", "\\/", "f", "g") if k != parent])
+    if kind == "f":
+        return f"f({_nested_goal(rng, depth - 1)})"
+    if kind == "g":
+        return f"g({_nested_goal(rng, depth - 1)}, {_nested_goal(rng, depth - 1)})"
+    parts = [_nested_goal(rng, depth - 1, kind) for _ in range(rng.randrange(2, 5))]
+    return "(" + f" {kind} ".join(parts) + ")"
+
+
+def _foci(goal):
+    """Every (path, node, selected) a redex can have: each node whole, and
+    each non-empty proper subset of an AC node's children."""
+    for path, node in subterms(goal):
+        yield path, node, None
+        if isinstance(node, AApp) and node.functor in AC_FUNCTORS:
+            n = len(node.args)
+            for k in range(1, n):
+                for selected in itertools.combinations(range(1, n + 1), k):
+                    yield path, node, selected
+
+
+def test_frame_minus_mask_is_the_conjunctive_context():
+    rng = random.Random(13)
+    checked = masked_inner = 0
+    for _ in range(150):
+        goal, _next = annotate_from(P(_nested_goal(rng, 4)), 1)
+        context_of = engine._focus_contexts(goal)
+        indexes = set()
+        for path, node, selected in _foci(goal):
+            index, mask = context_of(path, node, selected)
+            indexes.add(id(index))
+            *frame, end = index.elements
+            assert end is _CONTEXT_END and not mask >> len(frame)
+            rest = [el for j, el in enumerate(frame) if not mask >> j & 1]
+            assert rest == list(conjunctive_context(goal, path, selected)), (goal, path, selected)
+            checked += 1
+            masked_inner += bool(mask) and len(path) > 1
+        # one index per conjunction, and one for the empty context
+        conjunctions = sum(
+            isinstance(node, AApp) and node.functor == AND for _path, node in subterms(goal)
+        )
+        assert len(indexes) <= conjunctions + 1
+    assert checked > 2000 and masked_inner > 500
