@@ -83,7 +83,7 @@ def _match_node(pattern: Term, subject: ATerm, theta: Subst) -> Iterator[tuple[S
     if not isinstance(subject, AApp) or subject.functor != pattern.functor:
         return
     if pattern.functor in AC_FUNCTORS:
-        for theta2, inst, _unused in _match_ac(pattern, subject, theta, full=True):
+        for theta2, inst, _left in _match_ac(pattern, subject, theta, full=True):
             yield theta2, inst
         return
     if len(subject.args) != len(pattern.args):
@@ -116,10 +116,12 @@ def _head(t: Term | ATerm):
 def _match_ac(pattern: App, subject: AApp, theta: Subst, full: bool):
     """Assign subject children to pattern children at a shared AC functor.
 
-    Yields (theta', instance, used-indices). With full=True every subject
-    child must be consumed (plain matching); otherwise the leftover children
-    form the redex residual. Branches are cut only when they provably yield
-    nothing, so the enumeration order is that of the unpruned search.
+    Yields (theta', instance, leftover), the leftover a bitmask of the subject
+    children no pattern child took (bit j for child j). With full=True every
+    subject child must be consumed (plain matching), so the leftover is 0;
+    otherwise the leftover children form the redex residual. Branches are
+    cut only when they provably yield nothing, so the enumeration order is
+    that of the unpruned search.
     """
     pat_children = pattern.args
     sub_children = subject.args
@@ -132,7 +134,7 @@ def _match_ac(pattern: App, subject: AApp, theta: Subst, full: bool):
         by_head[key] = by_head.get(key, 0) | 1 << j
     fits = [None if key is None else by_head.get(key, 0) for key in map(_head, pat_children)]
     table = (pat_children, sub_children, fits, subject, full)
-    yield from _ac_assign(table, 0, tuple(range(n)), (1 << n) - 1, theta, [])
+    yield from _ac_assign(table, 0, (1 << n) - 1, theta, [])
 
 
 def _ac_feasible(table, ks: tuple[int, ...], free: int, th: Subst) -> bool:
@@ -152,15 +154,13 @@ def _ac_feasible(table, ks: tuple[int, ...], free: int, th: Subst) -> bool:
     return False
 
 
-def _ac_assign(table, i: int, unused: tuple[int, ...], free: int, th: Subst, insts: list):
-    # `unused` lists the subject children not yet taken, in node order;
-    # `free` is the same set as a bitmask
+def _ac_assign(table, i: int, free: int, th: Subst, insts: list):
+    # `free` is the bitmask of the subject children not yet taken
     pat_children, sub_children, fits, subject, full = table
     m = len(pat_children)
     if i == m:
-        if full and unused:
-            return
-        yield th, AApp(subject.functor, tuple(insts), subject.id), unused
+        if not (full and free):
+            yield th, AApp(subject.functor, tuple(insts), subject.id), free
         return
     for k in range(i, m):
         if fits[k] is not None and not fits[k] & free:
@@ -172,6 +172,7 @@ def _ac_assign(table, i: int, unused: tuple[int, ...], free: int, th: Subst, ins
         if not _ac_feasible(table, later, free, th):
             return
         bound = th.get(p.name)
+        unused = [j for j in range(len(sub_children)) if free >> j & 1]
         # every later pattern child takes at least one subject child,
         # and under full=True with no later variable exactly one
         top = len(unused) - (m - i - 1)
@@ -186,15 +187,14 @@ def _ac_assign(table, i: int, unused: tuple[int, ...], free: int, th: Subst, ins
                     th2 = th
                 else:
                     th2 = {**th, p.name: inst}
-                rest = tuple(j for j in unused if j not in combo)
                 taken = sum(1 << j for j in combo)
-                yield from _ac_assign(table, i + 1, rest, free - taken, th2, insts + [inst])
+                yield from _ac_assign(table, i + 1, free - taken, th2, insts + [inst])
     else:
-        for j in unused:
-            if fit >> j & 1:
+        candidates = fit & free
+        for j in range(len(sub_children)):
+            if candidates >> j & 1:
                 for th2, inst in _match_node(p, sub_children[j], th):
-                    rest = tuple(x for x in unused if x != j)
-                    yield from _ac_assign(table, i + 1, rest, free & ~(1 << j), th2, insts + [inst])
+                    yield from _ac_assign(table, i + 1, free & ~(1 << j), th2, insts + [inst])
 
 
 def match(pattern: Term, subject: ATerm) -> Iterator[Subst]:
@@ -211,11 +211,9 @@ def redexes_at(node: ATerm, head: Term) -> Iterator[Redex]:
         and isinstance(node, AApp)
         and node.functor == head.functor
     ):
-        for theta, inst, unused in _match_ac(head, node, {}, full=False):
-            if unused:
-                used = tuple(
-                    i + 1 for i in range(len(node.args)) if i not in unused
-                )
+        for theta, inst, left in _match_ac(head, node, {}, full=False):
+            if left:
+                used = tuple(i + 1 for i in range(len(node.args)) if not left >> i & 1)
                 yield Redex(used, theta, inst)
             else:
                 yield Redex(None, theta, inst)

@@ -12,11 +12,13 @@ the matcher's submultiset assignment machinery; goals beyond the size bound
 are refused rather than handled slowly or incompletely.
 
 The oracle's own parts are the matcher and the state key: `_arrangements`
-(the binary views, annotated terms whose AC nodes are binary), `_match_b`,
-`_cc_matches`, `_root_ok` and `_relabel`. Each match is handed, as the head
-view, the matched view and the bindings, to `engine._successor`, the firing
-routine the engine uses too: guard, history check and entry, body instance,
-history renaming and the successor state.
+(the binary views, annotated terms whose AC nodes are binary, built by the
+recursion `_arr`), `_match_b`, `_cc_matches` (whose recursion is
+`_cc_assign`), `_root_ok` and `_relabel` (through `_relabel_walk`), the one
+key on which the search and the trace replay tell states apart. Each match is
+handed, as the head view, the matched view and the bindings, to
+`engine._successor`, the firing routine the engine uses too: guard, history
+check and entry, body instance, history renaming and the successor state.
 """
 
 from __future__ import annotations
@@ -92,28 +94,30 @@ def _arrangements(t: ATerm, cap: int, permute: bool = True) -> list:
     constant is the node itself. Raises OracleSizeError as soon as a batch of
     trees (one child order of an AC node, or one free node) takes the trees
     built, subterms' included, past `cap`."""
-    count = 0
+    return _arr(t, cap, permute, [0])
 
-    def arr(node):
-        nonlocal count
-        if not isinstance(node, AApp):
-            return [node]
-        f = node.functor
-        results = []
-        for combo in product(*[arr(a) for a in node.args]):
-            if f in AC_FUNCTORS:
-                orders = permutations(combo) if permute else (combo,)
-                batches = (_shapes(order, f, node.id) for order in orders)
-            else:
-                batches = ([AApp(f, combo, node.id) if combo else node],)
-            for batch in batches:
-                count += len(batch)
-                if count > cap:
-                    raise OracleSizeError(f"more than {cap} AC rearrangements")
-                results.extend(batch)
-        return results
 
-    return arr(t)
+def _arr(node: ATerm, cap: int, permute: bool, count: list) -> list:
+    # The oracle's recursions are module-level functions, as the matcher's
+    # are: a nested function that calls itself is a reference cycle, left
+    # for the cyclic collector after every call. `count` holds one item, the
+    # trees built so far.
+    if not isinstance(node, AApp):
+        return [node]
+    f = node.functor
+    results = []
+    for combo in product(*[_arr(a, cap, permute, count) for a in node.args]):
+        if f in AC_FUNCTORS:
+            orders = permutations(combo) if permute else (combo,)
+            batches = (_shapes(order, f, node.id) for order in orders)
+        else:
+            batches = ([AApp(f, combo, node.id) if combo else node],)
+        for batch in batches:
+            count[0] += len(batch)
+            if count[0] > cap:
+                raise OracleSizeError(f"more than {cap} AC rearrangements")
+            results.extend(batch)
+    return results
 
 
 @lru_cache(maxsize=1024)
@@ -218,24 +222,23 @@ def _cc_matches(cc_head: Term, elements, theta, arrs):
     else:
         conjuncts = (cc_head,)
     elems = list(elements) + [AApp("true", (), -2)]
-    n = len(elems)
     conj_arrs = [_pattern_views(c) for c in conjuncts]
+    yield from _cc_assign(conj_arrs, elems, arrs, 0, frozenset(), theta)
 
-    def assign(i, used, th):
-        if i == len(conjuncts):
-            if len(used) < n:
-                yield th
-            return
-        for j in range(n):
-            if j in used:
-                continue
-            for e_arr in arrs(elems[j]):
-                for c_arr in conj_arrs[i]:
-                    th2 = _match_b(c_arr, e_arr, th)
-                    if th2 is not None:
-                        yield from assign(i + 1, used | {j}, th2)
 
-    yield from assign(0, frozenset(), theta)
+def _cc_assign(conj_arrs, elems, arrs, i: int, used: frozenset, th):
+    if i == len(conj_arrs):
+        if len(used) < len(elems):
+            yield th
+        return
+    for j in range(len(elems)):
+        if j in used:
+            continue
+        for e_arr in arrs(elems[j]):
+            for c_arr in conj_arrs[i]:
+                th2 = _match_b(c_arr, e_arr, th)
+                if th2 is not None:
+                    yield from _cc_assign(conj_arrs, elems, arrs, i + 1, used | {j}, th2)
 
 
 def enumerate_transitions(
@@ -243,6 +246,10 @@ def enumerate_transitions(
 ) -> list[tuple[EngineState, TraceStep]]:
     """All legal successor states of a state, with their transition records.
 
+    One entry per firing: a head assignment is reached once per order and
+    shape of the focus's binary views, and two firings may give the same
+    state up to identifier relabelling. The successors are raw, not
+    relabelled; callers key states on `_relabel`, the oracle's one state key.
     Raises OracleSizeError beyond the size bounds: the oracle is desk-scale
     only and refuses rather than degrade.
     """
@@ -260,7 +267,6 @@ def enumerate_transitions(
 
     heads = [(rule, _pattern_views(rule.head)) for rule in program.rules]
     successors: list[tuple[EngineState, TraceStep]] = []
-    seen = set()
 
     for path, node in subterms(goal):
         foci: list[tuple[ATerm, tuple[int, ...] | None]] = [(node, None)]
@@ -285,17 +291,12 @@ def enumerate_transitions(
                                 context = conjunctive_context(goal, path, selected)
                             theta_iter = _cc_matches(rule.cc_head, context, theta, arrs)
                         else:
-                            theta_iter = iter((theta,))
+                            theta_iter = (theta,)
                         for th in theta_iter:
                             fired = _successor(
                                 rule, state, path, node, selected, h_arr, s_arr, th
                             )
-                            if fired is None:
-                                continue
-                            succ, ts = fired
-                            key = (rule.name, ac_key(ts.goal_after), ts.entry, succ.history)
-                            if key not in seen:
-                                seen.add(key)
+                            if fired is not None:
                                 successors.append(fired)
     return successors
 
@@ -312,23 +313,23 @@ def _relabel(state: EngineState) -> EngineState:
     rest), and next_id follows them all.
     """
     rho: dict[int, int] = {}
-
-    def walk(t: ATerm) -> ATerm:
-        new = rho.setdefault(t.id, len(rho) + 1)
-        if isinstance(t, AVar):
-            return AVar(t.name, new)
-        if isinstance(t, ANum):
-            return ANum(t.value, new)
-        args = t.args
-        if t.functor in AC_FUNCTORS:
-            args = sorted(args, key=lambda a: (ac_key(a), a.id))
-        return AApp(t.functor, tuple(map(walk, args)), new)
-
-    goal = walk(state.goal)
+    goal = _relabel_walk(state.goal, rho)
     history = frozenset(
         HistoryEntry(e.rule, tuple(rho[i] for i in e.ids)) for e in state.history
     )
     return EngineState(goal, history, len(rho) + 1)
+
+
+def _relabel_walk(t: ATerm, rho: dict[int, int]) -> ATerm:
+    new = rho.setdefault(t.id, len(rho) + 1)
+    if isinstance(t, AVar):
+        return AVar(t.name, new)
+    if isinstance(t, ANum):
+        return ANum(t.value, new)
+    args = t.args
+    if t.functor in AC_FUNCTORS:
+        args = sorted(args, key=lambda a: (ac_key(a), a.id))
+    return AApp(t.functor, tuple([_relabel_walk(a, rho) for a in args]), new)
 
 
 def search_normal_forms(

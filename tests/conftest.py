@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import pathlib
 from types import SimpleNamespace
 
@@ -30,6 +32,27 @@ def count_calls(monkeypatch, module, name, limit=None):
 
     monkeypatch.setattr(module, name, counted)
     return counter
+
+
+@contextlib.contextmanager
+def no_cyclic_garbage():
+    """Assert that the block leaves nothing for the cyclic collector.
+
+    Collects before the block, so only the block's own objects count, and
+    after it with gc.DEBUG_SAVEALL, so whatever the collector would free
+    stays in gc.garbage to be reported. A nested function that calls itself
+    is such garbage after every call.
+    """
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        yield
+        gc.collect()
+        assert not gc.garbage, [type(o).__name__ for o in gc.garbage[:20]]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 @pytest.fixture

@@ -1,8 +1,7 @@
-import gc
 import random
 
 import pytest
-from conftest import count_calls, load_program
+from conftest import count_calls, load_program, no_cyclic_garbage
 
 from acdterm import (
     AApp,
@@ -460,14 +459,6 @@ def test_run_leaves_no_cyclic_garbage(leq_program, unify_program):
     ]
     for program, goal in cases:
         first = run(program, goal)
-        gc.collect()
-        flags = gc.get_debug()
-        gc.set_debug(flags | gc.DEBUG_SAVEALL)
-        try:
+        with no_cyclic_garbage():
             again = run(program, goal)
-            gc.collect()
-            assert not gc.garbage, [type(o).__name__ for o in gc.garbage[:20]]
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
         assert again.trace == first.trace and first.status == NORMAL_FORM

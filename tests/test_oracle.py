@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import count_calls
+from conftest import count_calls, no_cyclic_garbage
 from test_terms import random_term
 
 from acdterm import (
@@ -531,3 +531,20 @@ def test_relabel_matches_reference(
             assert _relabel(state) == _ref_relabel(state), src
             checked += 1
     assert checked > 300, checked
+
+
+def test_referee_leaves_no_cyclic_garbage(leq_program, unify_program):
+    # the oracle's recursions are module-level functions, as the matcher's
+    # are: a nested function that calls itself leaves a reference cycle
+    # after every call
+    cases = [
+        (leq_program, P("leq(X,Y) /\\ leq(Y,Z) /\\ ~leq(X,Z)")),
+        (unify_program, P("f(X) = Y /\\ Y = f(a) /\\ X = Z")),
+    ]
+    for program, goal in cases:
+        trace = run(program, goal).trace
+        first = search_normal_forms(program, goal)
+        with no_cyclic_garbage():
+            verified = verify_trace(program, goal, trace)
+            again = search_normal_forms(program, goal)
+        assert verified and again == first and not first.truncated
