@@ -21,6 +21,18 @@ filters and the mask skip only what could not match or is not in the
 context, so the enumeration order, and with it every trace, is that of
 trying every rule at every position against every context element.
 
+Steps are semi-naive, as CHR's refined semantics wakes only new constraints
+and semi-naive evaluation joins only against the delta: `run` keeps one memo
+of the (rule, node) attempts that fired nothing, with the node object and,
+for a simpagation, the frame its context came from. Nodes are immutable, and
+a match over objects of such an attempt is refused again: the guard depends
+only on the bindings, and the history only loses entries naming removed
+nodes. So at the same node object a later attempt skips a simplification or
+propagation, and tries a simpagation only against the contexts that hold a
+new element (or the implicit `true`); a rebuilt node is tried in full.
+Dropping refused matches keeps the order of the rest, so traces do not
+change. `step` without a memo is the same code with nothing recorded.
+
 The history holds only entries whose identifiers are all in the goal: each
 transition drops the others. That changes no transition, since identifiers
 are never reused and the history renaming maps only live identifiers, so an
@@ -184,9 +196,16 @@ def _occurrences(pattern: Term | ATerm, inst: ATerm) -> Iterator[tuple[str, ATer
 
 
 def _flatten_annotated(t: ATerm) -> ATerm:
-    """Restore the flattened-AC invariant, keeping surviving identifiers."""
+    """Restore the flattened-AC invariant, keeping surviving identifiers.
+
+    A node other than an AC node comes back as itself when none of its
+    children changed.
+    """
     if isinstance(t, AApp):
-        return aapp(t.functor, tuple(_flatten_annotated(a) for a in t.args), t.id)
+        args = tuple(_flatten_annotated(a) for a in t.args)
+        if t.functor not in AC_FUNCTORS and all(a is b for a, b in zip(args, t.args)):
+            return t
+        return aapp(t.functor, args, t.id)
     return t
 
 
@@ -292,7 +311,7 @@ def _focus_contexts(goal: ATerm):
     frames: dict = {}
 
     def context_of(path: Position, node: ATerm, selected: tuple[int, ...] | None):
-        if selected is not None and node.functor == AND:
+        if selected is not None and isinstance(node, AApp) and node.functor == AND:
             q, conj, children = path, node, selected
         else:
             depth = None
@@ -314,16 +333,40 @@ def _focus_contexts(goal: ATerm):
     return context_of
 
 
+def _new_positions(items: tuple, old: tuple, seen: dict) -> int:
+    """Bitmask of the positions of items (bit j for item j) that hold an
+    object not in old. Cached in `seen` for the step, which keeps both
+    tuples alive, so their identities stay valid keys."""
+    key = (id(items), id(old))
+    hit = seen.get(key)
+    if hit is None:
+        kept = set(map(id, old))
+        mask = sum(1 << j for j, item in enumerate(items) if id(item) not in kept)
+        hit = seen[key] = (mask, items, old)
+    return hit[0]
+
+
 def _try_rule_at(
-    rule: Rule, state: EngineState, path: Position, node: ATerm, context_of
+    rule: Rule, state: EngineState, path: Position, node: ATerm, context_of, prior, seen: dict
 ) -> tuple[EngineState, TraceStep] | None:
     """First applicable redex of one rule anchored at `node`, the goal node at
     path, applied. `context_of(path, node, selected)` gives a focus's
-    conjunctive context as an index and the mask of its positions there."""
+    conjunctive context as an index and the mask of its positions there.
+    `prior` is the memo entry of the rule at this identifier, or None; at
+    the same node object only the contexts with an element not in its frame
+    are tried (see `step`); `seen` caches `_new_positions` for the step.
+    """
+    simpagation = rule.kind == SIMPAGATION
+    same = prior is not None and prior[0] is node
     for redex in redexes_at(node, rule.head):
-        if rule.kind == SIMPAGATION:
+        if simpagation:
             index, masked = context_of(path, node, redex.selected)
-            thetas: Iterator[Subst] = match_cc(rule.cc_head, index, redex.theta, masked)
+            new = 0
+            if same:
+                # the implicit `true`, last, always counts as new
+                new = _new_positions(index.elements, prior[1].elements, seen)
+                new = (new | 1 << (len(index.elements) - 1)) & ~masked
+            thetas: Iterator[Subst] = match_cc(rule.cc_head, index, redex.theta, masked, new)
         else:
             thetas = iter((redex.theta,))
         for theta in thetas:
@@ -340,38 +383,65 @@ def initial_state(goal: Term) -> EngineState:
     return EngineState(goal_a, frozenset(), next_id)
 
 
-def step(state: EngineState, program: Program) -> tuple[EngineState, TraceStep] | None:
+def step(
+    state: EngineState, program: Program, memo: dict | None = None
+) -> tuple[EngineState, TraceStep] | None:
     """One transition: textually first rule at its first redex, or None.
 
     A rule visits, in preorder, only the goal nodes whose head key
     (`matching._head`) is its head's, or every node for a variable head.
+
+    `memo` maps (rule index, node identifier) to (node object, frame index)
+    for each attempt that fired nothing; the frame, a simpagation's only, is
+    the index `_focus_contexts` gives the node's selections. A memo serves
+    one sequence of steps, each from the state the last one returned. None
+    stands for an empty memo; `run` passes one memo to every step.
     """
+    if memo is None:
+        memo = {}
     goal = state.goal
     nodes = subterms(goal)
     by_head: dict = {}
     for pair in nodes:
         by_head.setdefault(_head(pair[1]), []).append(pair)
     context_of = _focus_contexts(goal)
-    for rule in program.rules:
+    seen: dict = {}
+    for r, rule in enumerate(program.rules):
         key = _head(rule.head)
+        simpagation = rule.kind == SIMPAGATION
         for path, node in nodes if key is None else by_head.get(key, ()):
-            fired = _try_rule_at(rule, state, path, node, context_of)
+            prior = memo.get((r, node.id))
+            if prior is not None and prior[0] is node and not simpagation:
+                continue  # refused at this very node, which holds nothing new
+            fired = _try_rule_at(rule, state, path, node, context_of, prior, seen)
             if fired is not None:
                 return fired
+            memo[r, node.id] = (node, context_of(path, node, ())[0] if simpagation else None)
     return None
 
 
 def run(program: Program, goal: Term, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
-    """Rewrite a goal to a normal form, or stop after max_steps transitions."""
+    """Rewrite a goal to a normal form, or stop after max_steps transitions.
+
+    One memo serves every step. Whenever it has doubled since it was last
+    pruned, the entries of identifiers that left the goal, which keep dead
+    nodes alive and are never looked up again, go.
+    """
     state = initial_state(goal)
     trace: list[TraceStep] = []
+    memo: dict = {}
+    kept = 0
     for k in range(max_steps):
-        nxt = step(state, program)
+        nxt = step(state, program, memo)
         if nxt is None:
             return RunResult(state, tuple(trace), NORMAL_FORM)
         state, ts = nxt
         trace.append(_dc_replace(ts, index=k + 1))
-    status = NORMAL_FORM if step(state, program) is None else BUDGET_EXHAUSTED
+        if len(memo) > 2 * kept:
+            live = ids_of(state.goal)
+            memo = {key: entry for key, entry in memo.items() if key[1] in live}
+            kept = len(memo)
+    status = NORMAL_FORM if step(state, program, memo) is None else BUDGET_EXHAUSTED
     return RunResult(state, tuple(trace), status)
 
 

@@ -96,7 +96,12 @@ def _match_args(pattern: App, subject: AApp, i: int, theta: Subst, insts: list):
     # that calls itself is a reference cycle, left for the cyclic collector
     # after every call
     if i == len(pattern.args):
-        yield theta, AApp(subject.functor, tuple(insts), subject.id)
+        # the subject itself when every argument matched its own child, so
+        # that an instance put back into the goal keeps the node's identity
+        if all(a is b for a, b in zip(insts, subject.args)):
+            yield theta, subject
+        else:
+            yield theta, AApp(subject.functor, tuple(insts), subject.id)
         return
     for th2, inst in _match_node(pattern.args[i], subject.args[i], theta):
         yield from _match_args(pattern, subject, i + 1, th2, insts + [inst])
@@ -224,6 +229,7 @@ def redexes_at(node: ATerm, head: Term) -> Iterator[Redex]:
 
 # The implicit `true` that ends every conjunctive context; it is no goal node.
 _CONTEXT_END = AApp("true", (), -1)
+_END_KEY = _head(_CONTEXT_END)
 
 
 class ContextIndex:
@@ -270,7 +276,9 @@ class ContextIndex:
         return self.by_head.get(key, ())
 
 
-def match_cc(cc_pattern: Term, cc, theta0: Subst, masked: int = 0) -> Iterator[Subst]:
+def match_cc(
+    cc_pattern: Term, cc, theta0: Subst, masked: int = 0, fresh: int = 0
+) -> Iterator[Subst]:
     """Extend theta0 so the pattern's conjuncts match distinct cc elements.
 
     The pattern is split on the top-level conjunction; each conjunct must
@@ -290,6 +298,11 @@ def match_cc(cc_pattern: Term, cc, theta0: Subst, masked: int = 0) -> Iterator[S
     elements `_match_node` would refuse, and each bucket keeps index order,
     so the substitutions come in the order of trying every element of the
     context in turn.
+
+    A nonzero `fresh` names positions of which every match must take at
+    least one; the last conjunct tries only them when none is taken yet.
+    Only a variable or `true` can take the implicit `true`, so its bit is
+    dropped when no conjunct is one, and nothing is yielded if no bit is left.
     """
     if isinstance(cc_pattern, App) and cc_pattern.functor == AND:
         conjuncts = cc_pattern.args
@@ -309,21 +322,28 @@ def match_cc(cc_pattern: Term, cc, theta0: Subst, masked: int = 0) -> Iterator[S
         )
         for c in conjuncts
     ]
-    yield from _match_conjuncts(index, specs, 0, masked, dict(theta0))
+    if fresh and not any(key is None or key == _END_KEY for _c, key, _v in specs):
+        fresh &= ~(1 << (len(index.elements) - 1))
+        if not fresh:
+            return
+    yield from _match_conjuncts(index, specs, 0, masked, dict(theta0), fresh)
 
 
-def _match_conjuncts(index: ContextIndex, specs, i: int, used: int, theta: Subst):
+def _match_conjuncts(index: ContextIndex, specs, i: int, used: int, theta: Subst, fresh: int):
     # a module-level recursion: a nested generator that calls itself would
     # keep the context index alive in a reference cycle until the next
-    # garbage collection
+    # garbage collection. `fresh` is as in `match_cc`, 0 once a match takes
+    # one of its positions
     if i == len(specs):
         yield theta
         return
     conjunct, key, var_args = specs[i]
+    need = fresh if i == len(specs) - 1 else 0
     for j in index.candidates(key, var_args, theta):
-        if not used >> j & 1:
+        if not used >> j & 1 and (not need or need >> j & 1):
+            rest = 0 if fresh >> j & 1 else fresh
             for th2, _inst in _match_node(conjunct, index.elements[j], theta):
-                yield from _match_conjuncts(index, specs, i + 1, used | 1 << j, th2)
+                yield from _match_conjuncts(index, specs, i + 1, used | 1 << j, th2, rest)
 
 
 def _instantiate(term: Term, theta: Subst, taken: frozenset[str]) -> Term:

@@ -1,0 +1,191 @@
+"""`run` keeps one memo of failed attempts for the whole run and retries only
+the matches that involve a new object; `step` without a memo tries every
+match. The two must agree step for step: same trace records, same final goal
+with its identifiers, same history.
+
+The random programs mix rules of every kind over `p/1`, `q/1`, `r/2`,
+constants, `/\\`, `\\/` and `+`, with `!==` guards and context heads that
+include a bare variable, `true` and `Y /\\ true`. Run this file as a script
+for a longer sweep:
+`PYTHONPATH=src python3 tests/test_semi_naive.py [cases] [first seed]`.
+"""
+
+import random
+import sys
+from dataclasses import replace
+
+from conftest import count_calls
+
+from acdterm import engine, parse_program, parse_term
+from acdterm.engine import initial_state, run, step
+from acdterm.terms import ids_of, size
+
+_ATOMS = ["p(X)", "p(a)", "q(X)", "q(Y)", "q(b)", "r(X,Y)", "r(X,X)", "r(a,Y)", "g(X)"]
+_HEADS = _ATOMS + [
+    "p(X) /\\ q(X)", "p(X) /\\ q(Y)", "X /\\ p(a)", "p(X) \\/ Y", "X + a", "q(X) /\\ Y",
+    "X", "true", "a",
+]
+_CONTEXTS = ["Y", "true", "Y /\\ true", "p(Y)", "q(X)", "r(Y,X)", "p(Y) /\\ q(Y)", "X /\\ p(Y)"]
+_GUARDS = ["", "", "X !== Y | ", "X !== a | ", "Y !== b | "]
+_BODIES = ["true", "q(X)", "p(a)", "r(X,b)", "p(a) /\\ q(X)", "X \\/ a", "g(q(Y))", "t1", "Y + b"]
+_GOAL_PARTS = [
+    "p(a)", "p(b)", "q(a)", "q(b)", "r(a,b)", "r(b,b)", "g(p(a))", "t1", "true", "a",
+    "(p(a) \\/ q(b))", "(a + b)", "f(p(a) /\\ q(b))", "g(V)", "p(V)",
+]
+# a case stops once its goal's size passes this
+_CAP = 120
+
+
+def _random_program(rng):
+    """1-4 rules, each of any kind; guards mention only head variables."""
+    rules = []
+    for k in range(rng.randrange(1, 5)):
+        head = rng.choice(_HEADS)
+        kind = rng.choice(["<=>", "==>", "\\"])
+        context = rng.choice(_CONTEXTS) if kind == "\\" else ""
+        scope = head + " " + context
+        guard = rng.choice([g for g in _GUARDS if all(v in scope for v in "XY" if v in g)])
+        body = rng.choice(_BODIES)
+        if kind == "\\":
+            rules.append(f"r{k} @ {context} \\ {head} <=> {guard}{body}.")
+        else:
+            rules.append(f"r{k} @ {head} {kind} {guard}{body}.")
+    return "\n".join(rules)
+
+
+def _random_goal(rng):
+    return " /\\ ".join(rng.choices(_GOAL_PARTS, k=rng.randrange(1, 6)))
+
+
+def _stepped(program, goal, max_steps, cap):
+    """`run` by iterated memo-less `step`: (final state, trace, status).
+
+    Once the goal's size passes cap the walk stops as if max_steps were the
+    number of steps taken, so a goal that doubles every step stays small.
+    """
+    state = initial_state(goal)
+    trace = []
+    for k in range(max_steps):
+        fired = step(state, program)
+        if fired is None:
+            return state, trace, engine.NORMAL_FORM
+        state, ts = fired
+        trace.append(replace(ts, index=k + 1))
+        if size(state.goal) > cap:
+            break
+    status = engine.NORMAL_FORM if step(state, program) is None else engine.BUDGET_EXHAUSTED
+    return state, trace, status
+
+
+def _agrees(program, goal, max_steps, cap=_CAP):
+    """(steps taken, whether the size cap stopped the walk); `run` is given
+    as many steps as the memo-less walk took."""
+    state, trace, status = _stepped(program, goal, max_steps, cap)
+    result = run(program, goal, len(trace))
+    assert [engine.step_record(ts) for ts in result.trace] == [
+        engine.step_record(ts) for ts in trace
+    ]
+    assert result.final.goal == state.goal
+    assert result.final.history == state.history
+    assert (result.final.next_id, result.status) == (state.next_id, status)
+    return len(trace), size(state.goal) > cap
+
+
+def _sweep(cases, first_seed=0, max_steps=25):
+    """(cases checked, steps taken, cases stopped by the size cap)."""
+    checked = steps = capped = 0
+    for seed in range(first_seed, first_seed + cases):
+        rng = random.Random(seed)
+        src = _random_program(rng)
+        program = parse_program(src)
+        for _ in range(3):
+            goal = parse_term(_random_goal(rng))
+            try:
+                taken, over = _agrees(program, goal, max_steps)
+            except AssertionError as e:
+                raise AssertionError(f"seed {seed}: {src!r} on {goal}") from e
+            checked += 1
+            steps += taken
+            capped += over
+    return checked, steps, capped
+
+
+def test_run_with_memo_equals_memoless_steps_on_random_programs():
+    # a variable-headed propagation whose body copies its match doubles the
+    # goal every step, which the size cap cuts short
+    checked, steps, capped = _sweep(150)
+    assert checked == 450 and capped <= 30, capped
+    # the cases fire rules, most of them more than once
+    assert steps > 5 * checked, steps
+
+
+def test_implicit_true_counts_as_new():
+    # r0 fails at p(a) while the context is t1 alone: `Y /\ true` would
+    # leave no residual. Once r1 adds t2 the match Y = t1 with `true` fits,
+    # though t1 is an old element; counting `true` as old would fire Y = t2
+    program = parse_program("r0 @ Y /\\ true \\ p(a) <=> q(Y).  r1 @ g(X) ==> t2.")
+    goal = parse_term("t1 /\\ g(p(a))")
+    _agrees(program, goal, 10)
+    trace = run(program, goal, max_steps=2).trace
+    assert [ts.rule for ts in trace] == ["r1", "r0"]
+    assert engine.pretty(trace[-1].goal_after) == "t1 /\\ g(q(t1)) /\\ t2"
+
+
+def test_rebuilt_ac_node_is_tried_again():
+    # r0 fails at a /\ node first; r1 then rebuilds that node under the same
+    # identifier with q(a) among its children, and r0 must fire on it: as a
+    # simplification, as a simpagation whose head takes the new child, one
+    # whose context holds it, and one whose head takes the whole node
+    for program, goal in [
+        ("r0 @ p(X) /\\ q(X) <=> s(X).  r1 @ t ==> q(a).", "p(a) /\\ t /\\ p(b)"),
+        ("r0 @ t \\ p(X) /\\ q(X) <=> s(X).  r1 @ t ==> q(a).", "p(a) /\\ t /\\ p(b)"),
+        ("r0 @ q(X) \\ p(X) /\\ t <=> s(X).  r1 @ t ==> q(a).", "p(a) /\\ t /\\ p(b)"),
+        ("r0 @ t \\ p(X) /\\ q(X) <=> s(X).  r1 @ r <=> q(a).", "f(p(a) /\\ r) /\\ t"),
+    ]:
+        program, goal = parse_program(program), parse_term(goal)
+        _agrees(program, goal, 10)
+        assert [ts.rule for ts in run(program, goal).trace] == ["r1", "r0"]
+
+
+def test_memo_skips_refused_guards(monkeypatch, unify_program):
+    # a fixed 16-link chain, 76 steps: stepping without a memo re-checks at
+    # every step the guards refused at every unchanged node (1,214 calls);
+    # with the memo only matches with something new reach the guard (161)
+    chain = (
+        "f(f(V16)) = f(f(V1)) /\\ V5 = V10 /\\ V7 = V12 /\\ f(V13) = f(V8) /\\ "
+        "f(f(f(V11))) = f(f(f(V6))) /\\ f(V8) = f(V0) /\\ f(V2) = f(V16) /\\ "
+        "f(f(V12)) = f(f(V11)) /\\ V10 = f(f(a)) /\\ f(f(f(V15))) = f(f(f(V5))) /\\ "
+        "f(V0) = f(V9) /\\ f(f(f(V6))) = f(f(f(V3))) /\\ f(f(f(V9))) = f(f(f(V14))) /\\ "
+        "f(f(V1)) = f(f(V7)) /\\ V3 = V13 /\\ f(f(V4)) = f(f(V2)) /\\ V14 = V15"
+    )
+    guards = count_calls(monkeypatch, engine, "guard_holds")
+    result = run(unify_program, parse_term(chain))
+    assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
+    assert guards.calls <= 400, guards.calls
+
+
+def test_memo_drops_entries_of_removed_nodes(monkeypatch):
+    # spin replaces p(a) and p(b) by fresh nodes every step; chk fails at
+    # each of them against `big`, so without pruning the memo would keep
+    # every replaced node and its frame
+    program = parse_program("chk @ big \\ p(X) <=> X !== X | z.  spin @ p(X) <=> p(X).")
+    memos = []
+    stepped = step
+
+    def keep_memo(state, program, memo=None):
+        memos[:] = [(memo, state)]
+        return stepped(state, program, memo)
+
+    monkeypatch.setattr(engine, "step", keep_memo)
+    result = run(program, parse_term("big /\\ p(a) /\\ p(b)"), max_steps=2_000)
+    assert result.status == engine.BUDGET_EXHAUSTED
+    memo, state = memos[-1]
+    live = ids_of(state.goal)
+    assert len(memo) <= 4 * len(live) * len(program.rules)
+    assert sum(key[1] not in live for key in memo) <= 2 * len(live) * len(program.rules)
+
+
+if __name__ == "__main__":
+    cases = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000
+    first = int(sys.argv[2]) if len(sys.argv) > 2 else 1_000
+    print("checked %d, steps %d, stopped by the size cap %d" % _sweep(cases, first))

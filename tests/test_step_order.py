@@ -3,8 +3,10 @@
 `engine.step` visits a rule's candidate nodes through a head-key table and
 `matching.match_cc` tries a conjunct's candidate elements through a head and
 bound-argument index, over one frame per conjunction with the focus masked.
-All of these are meant to drop only what could not match or is not in the
-context, in the same order. The references here try everything: every
+With a memo of the attempts that fired nothing, a step also skips the
+matches that use only objects of such an attempt. All of these are meant to
+drop only what could not match, could not fire or is not in the context, in
+the same order. The references here try everything: every
 element of `conjunctive_context` in context order with the implicit `true`
 last, and every rule at every preorder position.
 """
@@ -24,10 +26,11 @@ from acdterm.terms import AC_FUNCTORS, AND, AApp, App, annotate_from, conjunctiv
 P = parse_term
 
 
-def _ref_match_cc(cc_pattern, elements, theta0):
+def _ref_match_cc(cc_pattern, elements, theta0, fresh=0):
     """Every assignment of conjuncts to distinct elements, elements tried in
     context order and the implicit `true` last; the residual, `true`
-    included, stays non-empty."""
+    included, stays non-empty. A nonzero `fresh` keeps the assignments
+    that take one of the positions it names."""
     if isinstance(cc_pattern, App) and cc_pattern.functor == AND:
         conjuncts = cc_pattern.args
     else:
@@ -36,7 +39,7 @@ def _ref_match_cc(cc_pattern, elements, theta0):
 
     def assign(i, used, th):
         if i == len(conjuncts):
-            if len(used) < len(pool):
+            if len(used) < len(pool) and (not fresh or any(fresh >> j & 1 for j in used)):
                 yield th
             return
         for j, el in enumerate(pool):
@@ -68,7 +71,8 @@ def test_match_cc_keeps_the_reference_order():
     # a frame with the focus masked enumerates as the context without it;
     # the masks come from a stream of their own
     masks = random.Random(11)
-    checked = matched = matched_masked = 0
+    fresh_masks = random.Random(17)
+    checked = matched = matched_masked = narrowed = 0
     for _ in range(400):
         next_id = 1
         elements = []
@@ -86,6 +90,10 @@ def test_match_cc_keeps_the_reference_order():
             expected = list(_ref_match_cc(pattern, elements, theta0))
             assert list(match_cc(pattern, index, theta0)) == expected, (pattern, elements)
             assert list(match_cc(pattern, elements, theta0)) == expected
+            fresh = fresh_masks.getrandbits(len(elements) + 1)
+            in_fresh = list(_ref_match_cc(pattern, elements, theta0, fresh))
+            assert list(match_cc(pattern, index, theta0, 0, fresh)) == in_fresh, (pattern, fresh)
+            narrowed += 0 < len(in_fresh) < len(expected)
             checked += 1
             matched += bool(expected)
             mask = masks.getrandbits(len(elements))
@@ -95,6 +103,7 @@ def test_match_cc_keeps_the_reference_order():
             matched_masked += bool(in_rest) and mask != 0
     assert matched > checked // 10
     assert matched_masked > checked // 20
+    assert narrowed > checked // 50, narrowed
 
 
 def _ref_step(state, program):
@@ -118,9 +127,13 @@ def _ref_step(state, program):
 
 
 def _walk_agrees(program, goal, max_steps):
+    """Each step, with the walk's memo and without one, fires as the
+    reference."""
     state = initial_state(goal)
+    memo = {}
     for _ in range(max_steps):
-        fired = step(state, program)
+        fired = step(state, program, memo)
+        assert fired == step(state, program), goal
         assert fired == _ref_step(state, program), goal
         if fired is None:
             return
