@@ -24,14 +24,17 @@ trying every rule at every position against every context element.
 Steps are semi-naive, as CHR's refined semantics wakes only new constraints
 and semi-naive evaluation joins only against the delta: `run` keeps one memo
 of the (rule, node) attempts that fired nothing, with the node object and,
-for a simpagation, the frame its context came from. Nodes are immutable, and
+for a simpagation, the frame its contexts came from. Nodes are immutable, and
 a match over objects of such an attempt is refused again: the guard depends
 only on the bindings, and the history only loses entries naming removed
 nodes. So at the same node object a later attempt skips a simplification or
 propagation, and tries a simpagation only against the contexts that hold a
-new element (or the implicit `true`); a rebuilt node is tried in full.
+new element (or the implicit `true`, if a conjunct can take it); a rebuilt
+node is tried in full.
 Dropping refused matches keeps the order of the rest, so traces do not
 change. `step` without a memo is the same code with nothing recorded.
+
+A trace record keeps the annotated goal; the plain goal is made when read.
 
 The history holds only entries whose identifiers are all in the goal: each
 transition drops the others. That changes no transition, since identifiers
@@ -54,7 +57,7 @@ from .matching import (
     redexes_at,
 )
 from .pretty import pretty
-from .rules import PROPAGATION, SIMPAGATION, Program, Rule
+from .rules import PROPAGATION, Program, Rule
 from .terms import (
     AC_FUNCTORS,
     AND,
@@ -107,7 +110,12 @@ class TraceStep:
     kind: str  # simplify | propagate | simpagate
     path: Position
     entry: tuple[int, ...] | None
-    goal_after: Term
+    goal: ATerm  # after the step
+
+    @property
+    def goal_after(self) -> Term:
+        """The goal after the step, stripped on each read."""
+        return strip(self.goal)
 
 
 @dataclass(frozen=True)
@@ -284,7 +292,7 @@ def _successor(
         kind=KIND_OF[rule.kind],
         path=path,
         entry=entry.ids if entry else None,
-        goal_after=strip(goal),
+        goal=goal,
     )
     return EngineState(goal, history, next_id), ts
 
@@ -311,7 +319,7 @@ def _focus_contexts(goal: ATerm):
     frames: dict = {}
 
     def context_of(path: Position, node: ATerm, selected: tuple[int, ...] | None):
-        if selected is not None and isinstance(node, AApp) and node.functor == AND:
+        if selected is not None and node.functor == AND:
             q, conj, children = path, node, selected
         else:
             depth = None
@@ -347,26 +355,40 @@ def _new_positions(items: tuple, old: tuple, seen: dict) -> int:
 
 
 def _try_rule_at(
-    rule: Rule, state: EngineState, path: Position, node: ATerm, context_of, prior, seen: dict
+    rule: Rule, state: EngineState, path: Position, node: ATerm, context_of, memo, key, seen
 ) -> tuple[EngineState, TraceStep] | None:
     """First applicable redex of one rule anchored at `node`, the goal node at
     path, applied. `context_of(path, node, selected)` gives a focus's
-    conjunctive context as an index and the mask of its positions there.
-    `prior` is the memo entry of the rule at this identifier, or None; at
-    the same node object only the contexts with an element not in its frame
-    are tried (see `step`); `seen` caches `_new_positions` for the step.
+    conjunctive context as an index and the mask of its positions there;
+    `seen` caches `_new_positions` for the step.
+
+    When nothing fires, `memo[key]` records the node and the index its
+    redexes' contexts came from, a selection's if there is one: at a
+    conjunction that is the node's own frame, which holds the whole node's
+    context too. A simpagation at the node object of its entry matches only
+    the contexts with an element not in that frame (see `step`), and calls
+    no `match_cc` for the others.
     """
-    simpagation = rule.kind == SIMPAGATION
-    same = prior is not None and prior[0] is node
+    cc = rule.cc
+    old = frame = None
+    if cc is not None:
+        prior = memo.get(key)
+        if prior is not None and prior[0] is node:
+            old = prior[1]
     for redex in redexes_at(node, rule.head):
-        if simpagation:
+        if cc is not None:
             index, masked = context_of(path, node, redex.selected)
+            if frame is None or redex.selected is not None:
+                frame = index
             new = 0
-            if same:
-                # the implicit `true`, last, always counts as new
-                new = _new_positions(index.elements, prior[1].elements, seen)
-                new = (new | 1 << (len(index.elements) - 1)) & ~masked
-            thetas: Iterator[Subst] = match_cc(rule.cc_head, index, redex.theta, masked, new)
+            if old is not None:
+                new = _new_positions(index.elements, old.elements, seen) & ~masked
+                if cc.takes_true:
+                    # the implicit `true`, last, counts as new
+                    new |= 1 << (len(index.elements) - 1)
+                if not new:
+                    continue
+            thetas: Iterator[Subst] = match_cc(cc, index, redex.theta, masked, new)
         else:
             thetas = iter((redex.theta,))
         for theta in thetas:
@@ -375,6 +397,7 @@ def _try_rule_at(
             )
             if fired is not None:
                 return fired
+    memo[key] = (node, frame)
     return None
 
 
@@ -392,10 +415,11 @@ def step(
     (`matching._head`) is its head's, or every node for a variable head.
 
     `memo` maps (rule index, node identifier) to (node object, frame index)
-    for each attempt that fired nothing; the frame, a simpagation's only, is
-    the index `_focus_contexts` gives the node's selections. A memo serves
-    one sequence of steps, each from the state the last one returned. None
-    stands for an empty memo; `run` passes one memo to every step.
+    for each attempt that fired nothing; the frame is the index a
+    simpagation's redexes there took their contexts from, else None. A memo
+    serves one sequence of steps, each from the state the last one
+    returned. None stands for an empty memo; `run` passes one memo to every
+    step.
     """
     if memo is None:
         memo = {}
@@ -407,16 +431,17 @@ def step(
     context_of = _focus_contexts(goal)
     seen: dict = {}
     for r, rule in enumerate(program.rules):
-        key = _head(rule.head)
-        simpagation = rule.kind == SIMPAGATION
-        for path, node in nodes if key is None else by_head.get(key, ()):
-            prior = memo.get((r, node.id))
-            if prior is not None and prior[0] is node and not simpagation:
-                continue  # refused at this very node, which holds nothing new
-            fired = _try_rule_at(rule, state, path, node, context_of, prior, seen)
+        head = _head(rule.head)
+        simpagation = rule.cc is not None
+        for path, node in nodes if head is None else by_head.get(head, ()):
+            key = r, node.id
+            if not simpagation:
+                prior = memo.get(key)
+                if prior is not None and prior[0] is node:
+                    continue  # refused at this very node, which holds nothing new
+            fired = _try_rule_at(rule, state, path, node, context_of, memo, key, seen)
             if fired is not None:
                 return fired
-            memo[r, node.id] = (node, context_of(path, node, ())[0] if simpagation else None)
     return None
 
 

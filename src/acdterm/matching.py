@@ -276,16 +276,47 @@ class ContextIndex:
         return self.by_head.get(key, ())
 
 
+class ContextPattern:
+    """A context head as `match_cc` uses it, built once per rule.
+
+    `specs` holds, for each conjunct of the top-level conjunction, the
+    conjunct, its `_head` key and the (argument position, name) of its
+    variable arguments; an AC conjunct's arguments have no fixed position to
+    index. `takes_true` tells whether a conjunct is a variable or `true`,
+    the only ones that can take the implicit `true`.
+    """
+
+    __slots__ = ("specs", "takes_true")
+
+    def __init__(self, cc_pattern: Term):
+        if isinstance(cc_pattern, App) and cc_pattern.functor == AND:
+            conjuncts = cc_pattern.args
+        else:
+            conjuncts = (cc_pattern,)
+        self.specs = tuple(
+            (
+                c,
+                _head(c),
+                [(k, a.name) for k, a in enumerate(c.args) if isinstance(a, Var)]
+                if isinstance(c, App) and c.functor not in AC_FUNCTORS
+                else [],
+            )
+            for c in conjuncts
+        )
+        self.takes_true = any(key is None or key == _END_KEY for _c, key, _v in self.specs)
+
+
 def match_cc(
-    cc_pattern: Term, cc, theta0: Subst, masked: int = 0, fresh: int = 0
+    cc_pattern, cc, theta0: Subst, masked: int = 0, fresh: int = 0
 ) -> Iterator[Subst]:
     """Extend theta0 so the pattern's conjuncts match distinct cc elements.
 
-    The pattern is split on the top-level conjunction; each conjunct must
-    match one element of the context multiset, which ends in an implicit
-    `true` (tried last, and only by a variable or `true`, the only conjuncts
-    it can match). The unmatched rest, the residual, must stay non-empty, so
-    there are never more conjuncts than cc elements.
+    The pattern, a term or its ContextPattern, is split on the top-level
+    conjunction; each conjunct must match one element of the context
+    multiset, which ends in an implicit `true` (tried last, and only by a
+    variable or `true`, the only conjuncts it can match). The unmatched
+    rest, the residual, must stay non-empty, so there are never more
+    conjuncts than cc elements.
 
     `cc` is a ContextIndex or a sequence of elements, indexed here. The bits
     of `masked` name positions of the index's elements that are not in the
@@ -301,32 +332,12 @@ def match_cc(
 
     A nonzero `fresh` names positions of which every match must take at
     least one; the last conjunct tries only them when none is taken yet.
-    Only a variable or `true` can take the implicit `true`, so its bit is
-    dropped when no conjunct is one, and nothing is yielded if no bit is left.
     """
-    if isinstance(cc_pattern, App) and cc_pattern.functor == AND:
-        conjuncts = cc_pattern.args
-    else:
-        conjuncts = (cc_pattern,)
+    pattern = cc_pattern if isinstance(cc_pattern, ContextPattern) else ContextPattern(cc_pattern)
     index = cc if isinstance(cc, ContextIndex) else ContextIndex(cc)
-    if len(conjuncts) >= len(index.elements) - masked.bit_count():
+    if len(pattern.specs) >= len(index.elements) - masked.bit_count():
         return
-    # an AC conjunct's arguments have no fixed position to index
-    specs = [
-        (
-            c,
-            _head(c),
-            [(k, a.name) for k, a in enumerate(c.args) if isinstance(a, Var)]
-            if isinstance(c, App) and c.functor not in AC_FUNCTORS
-            else [],
-        )
-        for c in conjuncts
-    ]
-    if fresh and not any(key is None or key == _END_KEY for _c, key, _v in specs):
-        fresh &= ~(1 << (len(index.elements) - 1))
-        if not fresh:
-            return
-    yield from _match_conjuncts(index, specs, 0, masked, dict(theta0), fresh)
+    yield from _match_conjuncts(index, pattern.specs, 0, masked, dict(theta0), fresh)
 
 
 def _match_conjuncts(index: ContextIndex, specs, i: int, used: int, theta: Subst, fresh: int):

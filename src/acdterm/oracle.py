@@ -390,7 +390,7 @@ def first_divergence(program: Program, goal: Term, trace) -> int | None:
     """
     frontier = [_relabel(initial_state(goal))]
     for ts in trace:
-        target = ac_key(ts.goal_after)
+        target = ac_key(ts.goal)
         nxt: list[EngineState] = []
         seen = set()
         for st in frontier:
@@ -398,7 +398,7 @@ def first_divergence(program: Program, goal: Term, trace) -> int | None:
                 if (
                     sts.rule == ts.rule
                     and sts.kind == ts.kind
-                    and ac_key(sts.goal_after) == target
+                    and ac_key(sts.goal) == target
                 ):
                     r = _relabel(succ)
                     if r not in seen:

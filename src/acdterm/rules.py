@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .matching import ContextPattern
 from .terms import TRUE, Term, vars_of
 
 SIMPLIFICATION = "simplification"
@@ -21,6 +22,8 @@ class Rule:
     cc_head: Term | None = None
     # body variables that neither head binds: fresh goal variables on firing
     fresh_vars: frozenset[str] = field(init=False, repr=False, compare=False)
+    # the context head as `match_cc` takes it, for a simpagation
+    cc: ContextPattern | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.cc_head is not None) != (self.kind == SIMPAGATION):
@@ -33,6 +36,8 @@ class Rule:
             name = sorted(loose)[0]
             raise ValueError(f"guard variable {name} does not occur in the rule head")
         object.__setattr__(self, "fresh_vars", vars_of(self.body) - scope)
+        cc = None if self.cc_head is None else ContextPattern(self.cc_head)
+        object.__setattr__(self, "cc", cc)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from acdterm import (
     subterms,
     update_history,
 )
-from acdterm import engine, enumerate_transitions, matching
+from acdterm import engine, enumerate_transitions, first_divergence, matching
 from acdterm.engine import (
     BUDGET_EXHAUSTED,
     NORMAL_FORM,
@@ -221,6 +221,23 @@ def test_trace_formats():
     rec = step_record(ts)
     assert rec == {"n": 1, "kind": "simplify", "rule": "once", "path": [], "ids": [], "goal": "b"}
     assert parse_term(rec["goal"]) == App("b")
+
+
+def test_goals_are_stripped_only_when_a_record_is_read(monkeypatch, leq_program):
+    # a trace record keeps the annotated goal: `run` strips nothing, each
+    # rendering strips its record's goal once, and the oracle's replay
+    # compares the annotated goals of its successors
+    strips = count_calls(monkeypatch, engine, "strip")
+    goal = P("leq(X,Y) /\\ leq(Y,Z) /\\ ~leq(X,Z)")
+    trace = run(leq_program, goal).trace
+    assert len(trace) > 1 and strips.calls == 0
+    assert first_divergence(leq_program, goal, trace) is None
+    assert strips.calls == 0
+    records = [step_record(ts) for ts in trace]
+    assert strips.calls == len(trace)
+    lines = [format_step(ts) for ts in trace]
+    assert strips.calls == 2 * len(trace)
+    assert [r["goal"] for r in records] == [line.split(" : ")[1] for line in lines]
 
 
 # --- body-only variables -------------------------------------------------------------------

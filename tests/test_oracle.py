@@ -129,7 +129,7 @@ def test_verify_rejects_forged_step(leq_program):
             kind="simplify",
             path=(),
             entry=None,
-            goal_after=App("false"),
+            goal=annotate(0, App("false")),
         )
     ]
     assert not verify_trace(leq_program, goal, forged)
@@ -147,7 +147,7 @@ def test_verify_rejects_wrong_result(leq_program):
             kind="simplify",
             path=(),
             entry=None,
-            goal_after=App("false"),
+            goal=annotate(0, App("false")),
         )
     ]
     assert first_divergence(leq_program, goal, bad) == 1

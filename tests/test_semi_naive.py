@@ -34,6 +34,14 @@ _GOAL_PARTS = [
 ]
 # a case stops once its goal's size passes this
 _CAP = 120
+# a fixed 16-link unify.acd chain of 76 steps
+CHAIN = (
+    "f(f(V16)) = f(f(V1)) /\\ V5 = V10 /\\ V7 = V12 /\\ f(V13) = f(V8) /\\ "
+    "f(f(f(V11))) = f(f(f(V6))) /\\ f(V8) = f(V0) /\\ f(V2) = f(V16) /\\ "
+    "f(f(V12)) = f(f(V11)) /\\ V10 = f(f(a)) /\\ f(f(f(V15))) = f(f(f(V5))) /\\ "
+    "f(V0) = f(V9) /\\ f(f(f(V6))) = f(f(f(V3))) /\\ f(f(f(V9))) = f(f(f(V14))) /\\ "
+    "f(f(V1)) = f(f(V7)) /\\ V3 = V13 /\\ f(f(V4)) = f(f(V2)) /\\ V14 = V15"
+)
 
 
 def _random_program(rng):
@@ -147,21 +155,44 @@ def test_rebuilt_ac_node_is_tried_again():
         assert [ts.rule for ts in run(program, goal).trace] == ["r1", "r0"]
 
 
+def test_one_node_draws_on_two_frames():
+    # at p(a) /\ q /\ r, r0's selections take their contexts from that
+    # conjunction's own frame, the whole node from the root's; both fail
+    # until r1 adds t, and then one of them must fire whichever frame the
+    # memo kept
+    goal = parse_term("f(p(a) /\\ q /\\ r) /\\ go")
+    for guard, after in [
+        ("Y !== q /\\ Y !== r", "f(s(a,q /\\ r)) /\\ go /\\ t"),
+        ("Y !== q /\\ Y !== (q /\\ r)", "f(s(a,r) /\\ q) /\\ go /\\ t"),
+    ]:
+        program = parse_program(f"r0 @ t \\ p(X) /\\ Y <=> {guard} | s(X,Y).  r1 @ go ==> t.")
+        _agrees(program, goal, 10)
+        trace = run(program, goal).trace
+        assert [ts.rule for ts in trace] == ["r1", "r0"]
+        assert engine.pretty(trace[-1].goal_after) == after
+
+
 def test_memo_skips_refused_guards(monkeypatch, unify_program):
-    # a fixed 16-link chain, 76 steps: stepping without a memo re-checks at
-    # every step the guards refused at every unchanged node (1,214 calls);
+    # stepping without a memo re-checks at every step of the chain the
+    # guards refused at every unchanged node (1,214 calls);
     # with the memo only matches with something new reach the guard (161)
-    chain = (
-        "f(f(V16)) = f(f(V1)) /\\ V5 = V10 /\\ V7 = V12 /\\ f(V13) = f(V8) /\\ "
-        "f(f(f(V11))) = f(f(f(V6))) /\\ f(V8) = f(V0) /\\ f(V2) = f(V16) /\\ "
-        "f(f(V12)) = f(f(V11)) /\\ V10 = f(f(a)) /\\ f(f(f(V15))) = f(f(f(V5))) /\\ "
-        "f(V0) = f(V9) /\\ f(f(f(V6))) = f(f(f(V3))) /\\ f(f(f(V9))) = f(f(f(V14))) /\\ "
-        "f(f(V1)) = f(f(V7)) /\\ V3 = V13 /\\ f(f(V4)) = f(f(V2)) /\\ V14 = V15"
-    )
     guards = count_calls(monkeypatch, engine, "guard_holds")
-    result = run(unify_program, parse_term(chain))
+    result = run(unify_program, parse_term(CHAIN))
     assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
     assert guards.calls <= 400, guards.calls
+
+
+def test_memo_skips_contexts_with_nothing_new(monkeypatch, unify_program):
+    # vsubs and tsubs have no context conjunct that can take the implicit
+    # `true`, so an old redex whose context holds no new element calls no
+    # `match_cc`: 950 calls on this chain, against 1,002 when every old
+    # redex called it; the trace is that of memo-less steps
+    goal = parse_term(CHAIN)
+    match_ccs = count_calls(monkeypatch, engine, "match_cc")
+    result = run(unify_program, goal)
+    assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
+    assert match_ccs.calls <= 960, match_ccs.calls
+    _agrees(unify_program, goal, 100)
 
 
 def test_memo_drops_entries_of_removed_nodes(monkeypatch):
