@@ -27,12 +27,13 @@ of the (rule, node) attempts that fired nothing, with the node object and,
 for a simpagation, the frame its contexts came from. Nodes are immutable, and
 a match over objects of such an attempt is refused again: the guard depends
 only on the bindings, and the history only loses entries naming removed
-nodes. So at the same node object a later attempt skips a simplification or
+nodes. `step` has one attempt loop, which reads a (rule, node) entry once
+and writes it once: at the same node object it skips a simplification or
 propagation, and tries a simpagation only against the contexts that hold a
 new element (or the implicit `true`, if a conjunct can take it); a rebuilt
 node is tried in full.
 Dropping refused matches keeps the order of the rest, so traces do not
-change. `step` without a memo is the same code with nothing recorded.
+change. `step` without a memo is the same loop with nothing recorded.
 
 A trace record keeps the annotated goal; the plain goal is made when read.
 
@@ -341,66 +342,6 @@ def _focus_contexts(goal: ATerm):
     return context_of
 
 
-def _new_positions(items: tuple, old: tuple, seen: dict) -> int:
-    """Bitmask of the positions of items (bit j for item j) that hold an
-    object not in old. Cached in `seen` for the step, which keeps both
-    tuples alive, so their identities stay valid keys."""
-    key = (id(items), id(old))
-    hit = seen.get(key)
-    if hit is None:
-        kept = set(map(id, old))
-        mask = sum(1 << j for j, item in enumerate(items) if id(item) not in kept)
-        hit = seen[key] = (mask, items, old)
-    return hit[0]
-
-
-def _try_rule_at(
-    rule: Rule, state: EngineState, path: Position, node: ATerm, context_of, memo, key, seen
-) -> tuple[EngineState, TraceStep] | None:
-    """First applicable redex of one rule anchored at `node`, the goal node at
-    path, applied. `context_of(path, node, selected)` gives a focus's
-    conjunctive context as an index and the mask of its positions there;
-    `seen` caches `_new_positions` for the step.
-
-    When nothing fires, `memo[key]` records the node and the index its
-    redexes' contexts came from, a selection's if there is one: at a
-    conjunction that is the node's own frame, which holds the whole node's
-    context too. A simpagation at the node object of its entry matches only
-    the contexts with an element not in that frame (see `step`), and calls
-    no `match_cc` for the others.
-    """
-    cc = rule.cc
-    old = frame = None
-    if cc is not None:
-        prior = memo.get(key)
-        if prior is not None and prior[0] is node:
-            old = prior[1]
-    for redex in redexes_at(node, rule.head):
-        if cc is not None:
-            index, masked = context_of(path, node, redex.selected)
-            if frame is None or redex.selected is not None:
-                frame = index
-            new = 0
-            if old is not None:
-                new = _new_positions(index.elements, old.elements, seen) & ~masked
-                if cc.takes_true:
-                    # the implicit `true`, last, counts as new
-                    new |= 1 << (len(index.elements) - 1)
-                if not new:
-                    continue
-            thetas: Iterator[Subst] = match_cc(cc, index, redex.theta, masked, new)
-        else:
-            thetas = iter((redex.theta,))
-        for theta in thetas:
-            fired = _successor(
-                rule, state, path, node, redex.selected, rule.head, redex.matched, theta
-            )
-            if fired is not None:
-                return fired
-    memo[key] = (node, frame)
-    return None
-
-
 def initial_state(goal: Term) -> EngineState:
     goal_a, next_id = annotate_from(goal, 1)
     return EngineState(goal_a, frozenset(), next_id)
@@ -413,10 +354,16 @@ def step(
 
     A rule visits, in preorder, only the goal nodes whose head key
     (`matching._head`) is its head's, or every node for a variable head.
+    `context_of(path, node, selected)` gives a focus's conjunctive context
+    as an index and the mask of its positions there.
 
     `memo` maps (rule index, node identifier) to (node object, frame index)
     for each attempt that fired nothing; the frame is the index a
-    simpagation's redexes there took their contexts from, else None. A memo
+    simpagation's redexes there took their contexts from, a selection's if
+    there is one (at a conjunction that is the node's own frame, which holds
+    the whole node's context too), else None. At the node object of its
+    entry a rule without a context head is skipped, and a simpagation
+    matches only the contexts with an element not in that frame. A memo
     serves one sequence of steps, each from the state the last one
     returned. None stands for an empty memo; `run` passes one memo to every
     step.
@@ -429,19 +376,48 @@ def step(
     for pair in nodes:
         by_head.setdefault(_head(pair[1]), []).append(pair)
     context_of = _focus_contexts(goal)
+    # seen[index, old]: bit j set when element j of index is not in old; the
+    # key keeps both indexes alive for the step
     seen: dict = {}
     for r, rule in enumerate(program.rules):
         head = _head(rule.head)
-        simpagation = rule.cc is not None
+        cc = rule.cc
         for path, node in nodes if head is None else by_head.get(head, ()):
             key = r, node.id
-            if not simpagation:
-                prior = memo.get(key)
-                if prior is not None and prior[0] is node:
+            prior = memo.get(key)
+            old = frame = None
+            if prior is not None and prior[0] is node:
+                if cc is None:
                     continue  # refused at this very node, which holds nothing new
-            fired = _try_rule_at(rule, state, path, node, context_of, memo, key, seen)
-            if fired is not None:
-                return fired
+                old = prior[1]
+            for redex in redexes_at(node, rule.head):
+                thetas = (redex.theta,)
+                if cc is not None:
+                    index, masked = context_of(path, node, redex.selected)
+                    if frame is None or redex.selected is not None:
+                        frame = index
+                    new = 0
+                    if old is not None:
+                        new = seen.get((index, old))
+                        if new is None:
+                            kept = set(map(id, old.elements))
+                            new = seen[index, old] = sum(
+                                1 << j for j, el in enumerate(index.elements) if id(el) not in kept
+                            )
+                        new &= ~masked
+                        if cc.takes_true:
+                            # the implicit `true`, last, counts as new
+                            new |= 1 << (len(index.elements) - 1)
+                        if not new:
+                            continue
+                    thetas = match_cc(cc, index, redex.theta, masked, new)
+                for theta in thetas:
+                    fired = _successor(
+                        rule, state, path, node, redex.selected, rule.head, redex.matched, theta
+                    )
+                    if fired is not None:
+                        return fired
+            memo[key] = (node, frame)
     return None
 
 

@@ -397,6 +397,7 @@ _COMPARISONS = {
     ">=": lambda a, b: a >= b,
     ">": lambda a, b: a > b,
     "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
 }
 
 
@@ -417,7 +418,7 @@ def guard_holds(guard: Term, theta: Subst) -> bool:
     """Whether a guard term holds under theta.
 
     The recognised guards: true, false, conjunction, var/1, nonvar/1,
-    disequality modulo AC !==, and comparisons (=, <=, <, >=, >) over
+    disequality modulo AC !==, and comparisons (=, !=, <=, <, >=, >) over
     arithmetic expressions built from integers, +, * and size/1. Any other
     term simply does not hold.
     """

@@ -2,7 +2,7 @@ import json
 import pathlib
 
 
-from acdterm import ac_equal, parse_term
+from acdterm import ac_equal, cli, engine, parse_term
 from acdterm.cli import main
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
@@ -57,6 +57,20 @@ def test_env_var_max_steps(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert len(captured.err.strip().splitlines()) == 3
+
+
+def test_invalid_env_var_max_steps_falls_back(monkeypatch, capsys):
+    budgets = []
+
+    def recording(program, goal, max_steps):
+        budgets.append(max_steps)
+        return engine.run(program, goal, max_steps)
+
+    monkeypatch.setattr(cli, "run", recording)
+    monkeypatch.setenv("ACDTERM_MAX_STEPS", "abc")
+    assert main(["run", "-p", prog("empty.acd"), "-g", "a"]) == 0
+    assert budgets == [engine.DEFAULT_MAX_STEPS]
+    assert "ignoring invalid ACDTERM_MAX_STEPS='abc'" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code_and_location(tmp_path, capsys):

@@ -213,6 +213,15 @@ def test_disequality_guard_is_modulo_ac():
     assert len(run(prog, P("p(a /\\ b, b /\\ c)")).trace) == 1
 
 
+def test_integer_disequality_guard():
+    prog = parse_program("r @ f(N) <=> N != 0 | g(N).")
+    assert [ts.rule for ts in run(prog, P("f(1)")).trace] == ["r"]
+    assert [ts.rule for ts in run(prog, P("f(1 + 1)")).trace] == ["r"]
+    assert run(prog, P("f(0)")).trace == ()
+    # as with `=`, a side that is not an integer expression does not hold
+    assert run(prog, P("f(a)")).trace == ()
+
+
 def test_trace_formats():
     prog = parse_program("once @ a <=> b.")
     res = run(prog, App("a"))

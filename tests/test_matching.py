@@ -50,6 +50,7 @@ def test_match_commutative_head_yields_both_substitutions():
 
 def test_match_functor_clash_is_empty():
     assert list(match(P("f(X)"), A("g(a)"))) == []
+    assert list(match(P("f(X)"), A("f(a,b)"))) == []
 
 
 def test_match_ground_ac_commutativity():
@@ -449,6 +450,7 @@ def test_guard_arithmetic():
 def test_unknown_guard_terms_do_not_hold():
     assert not guard_holds(P("mystery(X)"), {"X": annotate(0, App("a"))})
     assert not guard_holds(P("size(X) <= f(a)"), {"X": annotate(0, App("a"))})
+    assert not guard_holds(Num(1), {})
 
 
 def test_guard_pure_function_of_bindings():

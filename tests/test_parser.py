@@ -3,6 +3,7 @@ import random
 import pytest
 
 from acdterm import App, Num, ParseError, Var, app, parse_program, parse_term, pretty
+from acdterm.rules import SIMPLIFICATION, Program, Rule
 from conftest import load_program
 
 
@@ -51,6 +52,22 @@ def test_unexpected_character():
         parse_term("f(a) $ b")
 
 
+@pytest.mark.parametrize(
+    "parse, src, message, col",
+    [
+        (parse_term, "f(,)", "unexpected token ','", 3),
+        (parse_program, "a @ b.", "expected <=> or ==>, found '.'", 6),
+        (parse_program, "a <=> b c", "expected '.', found 'c'", 9),
+        (parse_term, "a b", "unexpected trailing input 'b'", 3),
+    ],
+    ids=["unexpected_token", "missing_arrow", "missing_dot", "trailing_input"],
+)
+def test_syntax_errors_name_the_token(parse, src, message, col):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == f"1:{col}: {message}"
+
+
 # --- programs ------------------------------------------------------------------
 
 
@@ -94,6 +111,14 @@ def test_duplicate_rule_names_rejected():
     with pytest.raises(ParseError) as err:
         parse_program("r @ a <=> b. r @ c <=> d.")
     assert "duplicate" in str(err.value)
+
+
+def test_rules_and_programs_built_directly_are_checked():
+    a, b = App("a"), App("b")
+    with pytest.raises(ValueError, match="duplicate rule name r"):
+        Program((Rule("r", SIMPLIFICATION, a, b), Rule("r", SIMPLIFICATION, b, a)))
+    with pytest.raises(ValueError, match="cc_head is present exactly for simpagation"):
+        Rule("r", SIMPLIFICATION, a, b, cc_head=b)
 
 
 def test_simpagation_requires_simplification_arrow():

@@ -10,6 +10,7 @@ for a longer sweep:
 `PYTHONPATH=src python3 tests/test_semi_naive.py [cases] [first seed]`.
 """
 
+import pathlib
 import random
 import sys
 from dataclasses import replace
@@ -32,6 +33,7 @@ _GOAL_PARTS = [
     "p(a)", "p(b)", "q(a)", "q(b)", "r(a,b)", "r(b,b)", "g(p(a))", "t1", "true", "a",
     "(p(a) \\/ q(b))", "(a + b)", "f(p(a) /\\ q(b))", "g(V)", "p(V)",
 ]
+BENCH_PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "programs"
 # a case stops once its goal's size passes this
 _CAP = 120
 # a fixed 16-link unify.acd chain of 76 steps
@@ -193,6 +195,32 @@ def test_memo_skips_contexts_with_nothing_new(monkeypatch, unify_program):
     assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
     assert match_ccs.calls <= 960, match_ccs.calls
     _agrees(unify_program, goal, 100)
+
+
+def test_rules_without_context_search_a_node_object_once(monkeypatch, leq_program):
+    # a simplification or propagation that fired nothing at a node object
+    # finds nothing new there later, so the memo skips it: over a run no
+    # such rule searches the same node object twice (a simpagation may,
+    # against contexts that gained an element)
+    bool_program = parse_program((BENCH_PROGRAMS / "bool.acd").read_text(encoding="utf-8"))
+    searched = []  # keeps every node alive, so its id stays its own
+    original = engine.redexes_at
+
+    def recording(node, head):
+        searched.append((head, node))
+        return original(node, head)
+
+    monkeypatch.setattr(engine, "redexes_at", recording)
+    for program, goal in [
+        (leq_program, "leq(A,B) /\\ leq(B,C) /\\ leq(C,D) /\\ leq(D,A)"),
+        (bool_program, "(a \\/ ~true \\/ b) /\\ (c \\/ ~false) /\\ (d \\/ false) /\\ (e \\/ f)"),
+    ]:
+        searched.clear()
+        result = run(program, parse_term(goal))
+        assert result.status == engine.NORMAL_FORM and result.trace
+        rule_of = {id(rule.head): r for r, rule in enumerate(program.rules) if rule.cc is None}
+        tries = [(rule_of[id(h)], id(n)) for h, n in searched if id(h) in rule_of]
+        assert tries and len(tries) == len(set(tries))
 
 
 def test_memo_drops_entries_of_removed_nodes(monkeypatch):

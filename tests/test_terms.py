@@ -69,6 +69,21 @@ def test_subterm_invalid_position():
     assert "2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: app(""), ValueError, "empty functor"),
+        (lambda: app("+", ()), ValueError, "needs at least one operand"),
+        (lambda: replace_at(P("f(a)"), App("b"), (1, 1)), PositionError, "index 1"),
+        (lambda: conjunctive_context(P("a /\\ b"), (3,), None), PositionError, "index 3"),
+    ],
+    ids=["empty_functor", "ac_without_operands", "replace_below_leaf", "context_past_last"],
+)
+def test_invalid_terms_and_positions(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_replace_at_simple():
     assert replace_at(P("f(a)"), App("b"), (1,)) == P("f(b)")
 
