@@ -13,12 +13,12 @@ are refused rather than handled slowly or incompletely.
 
 The oracle's own parts are the matcher and the state key: `_arrangements`
 (the binary views, annotated terms whose AC nodes are binary, built by the
-recursion `_arr`), `_match_b`, `_cc_matches` (whose recursion is
-`_cc_assign`), `_root_ok` and `_relabel` (through `_relabel_walk`), the one
-key on which the search and the trace replay tell states apart. Each match is
-handed, as the head view, the matched view and the bindings, to
-`engine._successor`, the firing routine the engine uses too: guard, history
-check and entry, body instance, history renaming and the successor state.
+recursion `_arr`), `_match_b`, `_cc_assign`, `_root_ok` and `_relabel`
+(through `_relabel_walk`), the one key on which the search and the trace
+replay tell states apart. Each match is handed, as the head view, the matched
+view and the bindings, to `engine._successor`, the firing routine the engine
+uses too: guard, history check and entry, body instance, history renaming and
+the successor state.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .engine import EngineState, HistoryEntry, TraceStep, _successor, initial_state
-from .rules import SIMPAGATION, Program
+from .rules import Program
 from .terms import (
     AC_FUNCTORS,
     AND,
@@ -56,6 +56,9 @@ MAX_ARRANGEMENTS = 200_000
 # Default search bounds: levels of transitions, and visited states.
 DEFAULT_DEPTH = 20
 DEFAULT_WIDTH = 10_000
+
+# The trailing `true` of every conjunctive context; it is no goal node.
+_CONTEXT_END = AApp("true", (), -2)
 
 
 class OracleSizeError(RuntimeError):
@@ -210,23 +213,12 @@ def _root_ok(head: Term, focus: ATerm) -> bool:
     return True
 
 
-def _cc_matches(cc_head: Term, elements, theta, arrs):
-    """Extend theta so the context head matches within the context multiset.
-
-    A sentinel `true` stands for the structurally guaranteed trailing true of
-    a conjunctive context; the residual left to the unconstrained remainder
-    must stay non-empty.
-    """
-    if isinstance(cc_head, App) and cc_head.functor == AND:
-        conjuncts = cc_head.args
-    else:
-        conjuncts = (cc_head,)
-    elems = list(elements) + [AApp("true", (), -2)]
-    conj_arrs = [_pattern_views(c) for c in conjuncts]
-    yield from _cc_assign(conj_arrs, elems, arrs, 0, frozenset(), theta)
-
-
 def _cc_assign(conj_arrs, elems, arrs, i: int, used: frozenset, th):
+    """Extend th so the views of context conjuncts i.. match distinct elems.
+
+    elems ends with `_CONTEXT_END`, the structurally guaranteed trailing true
+    of a conjunctive context; the residual left to the unconstrained remainder
+    must stay non-empty."""
     if i == len(conj_arrs):
         if len(used) < len(elems):
             yield th
@@ -257,15 +249,22 @@ def enumerate_transitions(
     if size(goal) > MAX_GOAL_SIZE:
         raise OracleSizeError(f"goal size {size(goal)} exceeds bound {MAX_GOAL_SIZE}")
 
-    arr_cache: dict[ATerm, list] = {}
+    # keyed by node identity, since a value key hashes the whole subtree on
+    # every lookup; each entry keeps its node alive, so no id is reused
+    arr_cache: dict[int, tuple[ATerm, list]] = {}
 
     def arrs(t: ATerm) -> list:
-        views = arr_cache.get(t)
-        if views is None:
-            views = arr_cache[t] = _arrangements(t, MAX_ARRANGEMENTS)
-        return views
+        hit = arr_cache.get(id(t))
+        if hit is None:
+            hit = arr_cache[id(t)] = (t, _arrangements(t, MAX_ARRANGEMENTS))
+        return hit[1]
 
-    heads = [(rule, _pattern_views(rule.head)) for rule in program.rules]
+    table = []  # each rule, its head views and its context conjuncts' views
+    for rule in program.rules:
+        cc = rule.cc_head
+        conjuncts = cc.args if isinstance(cc, App) and cc.functor == AND else (cc,)
+        cc_views = None if cc is None else [_pattern_views(c) for c in conjuncts]
+        table.append((rule, _pattern_views(rule.head), cc_views))
     successors: list[tuple[EngineState, TraceStep]] = []
 
     for path, node in subterms(goal):
@@ -278,7 +277,7 @@ def enumerate_transitions(
                     foci.append((AApp(node.functor, members, -1), combo))
         for focus, selected in foci:
             context = None  # the focus's context, once a simpagation needs it
-            for rule, head_views in heads:
+            for rule, head_views, cc_views in table:
                 if not _root_ok(rule.head, focus):
                     continue
                 for s_arr in arrs(focus):
@@ -286,13 +285,13 @@ def enumerate_transitions(
                         theta = _match_b(h_arr, s_arr, {})
                         if theta is None:
                             continue
-                        if rule.kind == SIMPAGATION:
+                        thetas = (theta,)
+                        if cc_views is not None:
                             if context is None:
                                 context = conjunctive_context(goal, path, selected)
-                            theta_iter = _cc_matches(rule.cc_head, context, theta, arrs)
-                        else:
-                            theta_iter = (theta,)
-                        for th in theta_iter:
+                                context += (_CONTEXT_END,)
+                            thetas = _cc_assign(cc_views, context, arrs, 0, frozenset(), theta)
+                        for th in thetas:
                             fired = _successor(
                                 rule, state, path, node, selected, h_arr, s_arr, th
                             )

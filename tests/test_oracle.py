@@ -3,6 +3,8 @@ import random
 
 import pytest
 from conftest import count_calls, no_cyclic_garbage
+from test_golden_trace import NUMBERS
+from test_semi_naive import _random_goal, _random_program
 from test_terms import random_term
 
 from acdterm import (
@@ -89,6 +91,18 @@ def test_propagation_fires_once_per_assignment():
     result = search_normal_forms(prog, goal)
     assert not result.truncated
     assert canonical(strip(res.final.goal)) in result.normal_forms
+
+
+def test_rule_views_are_fetched_once_per_call(monkeypatch):
+    # one call fetches the views of each rule head (4) and each context
+    # conjunct (2) once, not once per head match: 4,680 fetches when every
+    # match fetched its context head's views again
+    from acdterm import oracle
+
+    views = count_calls(monkeypatch, oracle, "_pattern_views")
+    state = initial_state(P("2 /\\ big(0) /\\ big(2) /\\ 2 /\\ big(1 + 1)"))
+    assert len(enumerate_transitions(state, NUMBERS)) == 13
+    assert views.calls <= 6, views.calls
 
 
 def test_search_cc_change_program(one_subst_program):
@@ -331,6 +345,25 @@ def test_engine_context_matching_agrees_with_oracle(source, goal):
     found = search_normal_forms(prog, P(goal))
     assert not found.truncated
     assert canonical(res.final.goal) in found.normal_forms
+
+
+def test_engine_traces_of_random_programs_are_legal():
+    # the random programs of test_semi_naive, three goals each; a case whose
+    # goal passes size 20 at any step is skipped, as the referee's work grows
+    # exponentially with the goal
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        src = _random_program(rng)
+        program = parse_program(src)
+        for _ in range(3):
+            goal = P(_random_goal(rng))
+            trace = run(program, goal, 12).trace
+            if max([size(goal)] + [size(ts.goal) for ts in trace]) > 20:
+                continue
+            assert verify_trace(program, goal, trace), f"seed {seed}: {src!r} on {goal}"
+            checked += 1
+    assert checked > 120, checked
 
 
 # --- search bounds ------------------------------------------------------------------

@@ -34,8 +34,10 @@ _GOAL_PARTS = [
     "(p(a) \\/ q(b))", "(a + b)", "f(p(a) /\\ q(b))", "g(V)", "p(V)",
 ]
 BENCH_PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "programs"
-# a case stops once its goal's size passes this
+# a case stops once its goal's size passes this, or once its memo-less walk
+# has enumerated this many redexes
 _CAP = 120
+_REDEX_CAP = 20_000
 # a fixed 16-link unify.acd chain of 76 steps
 CHAIN = (
     "f(f(V16)) = f(f(V1)) /\\ V5 = V10 /\\ V7 = V12 /\\ f(V13) = f(V8) /\\ "
@@ -68,29 +70,46 @@ def _random_goal(rng):
 
 
 def _stepped(program, goal, max_steps, cap):
-    """`run` by iterated memo-less `step`: (final state, trace, status).
+    """`run` by iterated memo-less `step`: (final state, trace, status, capped).
 
-    Once the goal's size passes cap the walk stops as if max_steps were the
-    number of steps taken, so a goal that doubles every step stays small.
+    Once the goal's size passes cap, or the walk has enumerated more than
+    _REDEX_CAP redexes, the walk stops as if max_steps were the number of
+    steps taken and counts as capped. So a goal that doubles every step stays
+    small, and a head whose variable group ranges over a growing conjunction
+    that its context then refuses stays cheap.
     """
-    state = initial_state(goal)
-    trace = []
-    for k in range(max_steps):
-        fired = step(state, program)
-        if fired is None:
-            return state, trace, engine.NORMAL_FORM
-        state, ts = fired
-        trace.append(replace(ts, index=k + 1))
-        if size(state.goal) > cap:
-            break
-    status = engine.NORMAL_FORM if step(state, program) is None else engine.BUDGET_EXHAUSTED
-    return state, trace, status
+    redexes = [0]
+    original = engine.redexes_at
+
+    def counted(node, head):
+        for redex in original(node, head):
+            redexes[0] += 1
+            yield redex
+
+    engine.redexes_at = counted
+    try:
+        state = initial_state(goal)
+        trace = []
+        capped = False
+        for k in range(max_steps):
+            fired = step(state, program)
+            if fired is None:
+                return state, trace, engine.NORMAL_FORM, False
+            state, ts = fired
+            trace.append(replace(ts, index=k + 1))
+            capped = size(state.goal) > cap or redexes[0] > _REDEX_CAP
+            if capped:
+                break
+        status = engine.NORMAL_FORM if step(state, program) is None else engine.BUDGET_EXHAUSTED
+    finally:
+        engine.redexes_at = original
+    return state, trace, status, capped
 
 
 def _agrees(program, goal, max_steps, cap=_CAP):
-    """(steps taken, whether the size cap stopped the walk); `run` is given
-    as many steps as the memo-less walk took."""
-    state, trace, status = _stepped(program, goal, max_steps, cap)
+    """(steps taken, whether a cap stopped the walk); `run` is given as many
+    steps as the memo-less walk took."""
+    state, trace, status, capped = _stepped(program, goal, max_steps, cap)
     result = run(program, goal, len(trace))
     assert [engine.step_record(ts) for ts in result.trace] == [
         engine.step_record(ts) for ts in trace
@@ -98,11 +117,11 @@ def _agrees(program, goal, max_steps, cap=_CAP):
     assert result.final.goal == state.goal
     assert result.final.history == state.history
     assert (result.final.next_id, result.status) == (state.next_id, status)
-    return len(trace), size(state.goal) > cap
+    return len(trace), capped
 
 
 def _sweep(cases, first_seed=0, max_steps=25):
-    """(cases checked, steps taken, cases stopped by the size cap)."""
+    """(cases checked, steps taken, cases stopped by a cap)."""
     checked = steps = capped = 0
     for seed in range(first_seed, first_seed + cases):
         rng = random.Random(seed)
@@ -247,4 +266,4 @@ def test_memo_drops_entries_of_removed_nodes(monkeypatch):
 if __name__ == "__main__":
     cases = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000
     first = int(sys.argv[2]) if len(sys.argv) > 2 else 1_000
-    print("checked %d, steps %d, stopped by the size cap %d" % _sweep(cases, first))
+    print("checked %d, steps %d, stopped by a cap %d" % _sweep(cases, first))
