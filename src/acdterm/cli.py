@@ -85,6 +85,8 @@ def _add_goal_options(sub):
 
 
 def _cmd_run(args) -> int:
+    if args.max_steps is None:
+        args.max_steps = _default_max_steps()
     program = _load_program(args.program)
     goal = _load_goal(args)
     out = sys.stderr
@@ -172,8 +174,6 @@ def main(argv=None) -> int:
         # argparse has printed the usage error and exits 2, which here means
         # an exhausted step budget; -h exits 0
         return 1 if exc.code else 0
-    if getattr(args, "max_steps", None) is None and args.command == "run":
-        args.max_steps = _default_max_steps()
     try:
         return args.fn(args)
     except RecursionError:

@@ -46,6 +46,7 @@ entry naming a removed node can never again equal the entry of a match.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
+from itertools import count
 from typing import Iterator
 
 from .matching import (
@@ -390,11 +391,11 @@ def step(
                 if cc is None:
                     continue  # refused at this very node, which holds nothing new
                 old = prior[1]
-            for redex in redexes_at(node, rule.head):
-                thetas = (redex.theta,)
+            for selected, theta, matched in redexes_at(node, rule.head):
+                thetas = (theta,)
                 if cc is not None:
-                    index, masked = context_of(path, node, redex.selected)
-                    if frame is None or redex.selected is not None:
+                    index, masked = context_of(path, node, selected)
+                    if frame is None or selected is not None:
                         frame = index
                     new = 0
                     if old is not None:
@@ -410,11 +411,9 @@ def step(
                             new |= 1 << (len(index.elements) - 1)
                         if not new:
                             continue
-                    thetas = match_cc(cc, index, redex.theta, masked, new)
-                for theta in thetas:
-                    fired = _successor(
-                        rule, state, path, node, redex.selected, rule.head, redex.matched, theta
-                    )
+                    thetas = match_cc(cc, index, theta, masked, new)
+                for th in thetas:
+                    fired = _successor(rule, state, path, node, selected, rule.head, matched, th)
                     if fired is not None:
                         return fired
             memo[key] = (node, frame)
@@ -424,26 +423,27 @@ def step(
 def run(program: Program, goal: Term, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
     """Rewrite a goal to a normal form, or stop after max_steps transitions.
 
-    One memo serves every step. Whenever it has doubled since it was last
-    pruned, the entries of identifiers that left the goal, which keep dead
-    nodes alive and are never looked up again, go.
+    The step after the last allowed one only tells a normal form from an
+    exhausted budget. One memo serves every step. Whenever it has doubled
+    since it was last pruned, the entries of identifiers that left the goal,
+    which keep dead nodes alive and are never looked up again, go.
     """
     state = initial_state(goal)
     trace: list[TraceStep] = []
     memo: dict = {}
     kept = 0
-    for k in range(max_steps):
+    for k in count():
         nxt = step(state, program, memo)
         if nxt is None:
             return RunResult(state, tuple(trace), NORMAL_FORM)
+        if k >= max_steps:
+            return RunResult(state, tuple(trace), BUDGET_EXHAUSTED)
         state, ts = nxt
         trace.append(_dc_replace(ts, index=k + 1))
         if len(memo) > 2 * kept:
             live = ids_of(state.goal)
             memo = {key: entry for key, entry in memo.items() if key[1] in live}
             kept = len(memo)
-    status = NORMAL_FORM if step(state, program, memo) is None else BUDGET_EXHAUSTED
-    return RunResult(state, tuple(trace), status)
 
 
 # --- trace rendering ---------------------------------------------------------

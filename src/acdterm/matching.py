@@ -21,7 +21,6 @@ bounded by the number of pattern children still to be served.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -42,22 +41,6 @@ from .terms import (
 )
 
 Subst = dict[str, ATerm]
-
-
-@dataclass(frozen=True)
-class Redex:
-    """A rule-head occurrence anchored at a goal node.
-
-    For a match against a submultiset of an AC node's children, `selected`
-    holds the consumed child indices (1-based, ascending); for a whole-node
-    match it is None. `matched` is the head instance, aligned node-for-node
-    with the pattern (AC groups bound to one variable stay nested), so entry
-    and history computations can traverse it in matched order.
-    """
-
-    selected: tuple[int, ...] | None
-    theta: Subst
-    matched: ATerm
 
 
 def _group_term(functor: str, members: tuple[ATerm, ...], node_id: int) -> ATerm:
@@ -208,8 +191,15 @@ def match(pattern: Term, subject: ATerm) -> Iterator[Subst]:
         yield theta
 
 
-def redexes_at(node: ATerm, head: Term) -> Iterator[Redex]:
-    """Redexes anchored at this node."""
+def redexes_at(node: ATerm, head: Term) -> Iterator[tuple[tuple[int, ...] | None, Subst, ATerm]]:
+    """Redexes anchored at this node, as (selected, theta, matched).
+
+    For a match against a submultiset of an AC node's children, `selected`
+    holds the consumed child indices (1-based, ascending); for a whole-node
+    match it is None. `matched` is the head instance, aligned node-for-node
+    with the pattern (AC groups bound to one variable stay nested), so entry
+    and history computations can traverse it in matched order.
+    """
     if (
         isinstance(head, App)
         and head.functor in AC_FUNCTORS
@@ -217,14 +207,11 @@ def redexes_at(node: ATerm, head: Term) -> Iterator[Redex]:
         and node.functor == head.functor
     ):
         for theta, inst, left in _match_ac(head, node, {}, full=False):
-            if left:
-                used = tuple(i + 1 for i in range(len(node.args)) if not left >> i & 1)
-                yield Redex(used, theta, inst)
-            else:
-                yield Redex(None, theta, inst)
+            used = tuple(i + 1 for i in range(len(node.args)) if not left >> i & 1)
+            yield (used if left else None), theta, inst
         return
     for theta, inst in _match_node(head, node, {}):
-        yield Redex(None, theta, inst)
+        yield None, theta, inst
 
 
 # The implicit `true` that ends every conjunctive context; it is no goal node.
@@ -238,8 +225,9 @@ class ContextIndex:
     `elements` are the subterms in context order, then the implicit `true`;
     `by_head` maps each `_head` key to the positions of its elements,
     ascending. The index on argument k of the elements with a given key,
-    from the argument's `ac_key` to positions, is built the first time a
-    conjunct asks for it.
+    from the argument's `ac_key` to positions, and the index of every
+    element by its own `ac_key` (k None), are built the first time a
+    conjunct asks for them.
     """
 
     __slots__ = ("elements", "by_head", "_by_arg")
@@ -251,29 +239,29 @@ class ContextIndex:
             self.by_head.setdefault(_head(el), []).append(j)
         self._by_arg: dict = {}
 
-    def with_arg(self, key, k: int, bound: ATerm) -> list[int]:
+    def with_arg(self, key, k: int | None, bound: ATerm) -> list[int]:
         """Positions of the elements with head key `key` whose argument k is
-        AC-equal to `bound`, ascending."""
+        AC-equal to `bound`, or of every element AC-equal to `bound` when k
+        is None, ascending."""
         table = self._by_arg.get((key, k))
         if table is None:
             table = self._by_arg[key, k] = {}
-            for j in self.by_head.get(key, ()):
-                table.setdefault(ac_key(self.elements[j].args[k]), []).append(j)
+            for j in range(len(self.elements)) if k is None else self.by_head.get(key, ()):
+                el = self.elements[j]
+                table.setdefault(ac_key(el if k is None else el.args[k]), []).append(j)
         return table.get(ac_key(bound), [])
 
     def candidates(self, key, var_args, theta: Subst):
         """Positions a conjunct with head key `key` may match under theta:
-        every element for a variable (key None), those whose argument is
-        AC-equal to the binding of the first bound variable among the
-        conjunct's `var_args` (argument position, name), else those with
-        the key."""
-        if key is None:
-            return range(len(self.elements))
+        those AC-equal to the binding of the first bound variable among the
+        conjunct's `var_args` (argument position, or None for the conjunct
+        itself, and name) at that argument, else every element for a
+        variable (key None) and those with the key for any other."""
         for k, name in var_args:
             bound = theta.get(name)
             if bound is not None:
                 return self.with_arg(key, k, bound)
-        return self.by_head.get(key, ())
+        return range(len(self.elements)) if key is None else self.by_head.get(key, ())
 
 
 class ContextPattern:
@@ -281,9 +269,10 @@ class ContextPattern:
 
     `specs` holds, for each conjunct of the top-level conjunction, the
     conjunct, its `_head` key and the (argument position, name) of its
-    variable arguments; an AC conjunct's arguments have no fixed position to
-    index. `takes_true` tells whether a conjunct is a variable or `true`,
-    the only ones that can take the implicit `true`.
+    variable arguments, or (None, name) for a variable conjunct; an AC
+    conjunct's arguments have no fixed position to index. `takes_true`
+    tells whether a conjunct is a variable or `true`, the only ones that
+    can take the implicit `true`.
     """
 
     __slots__ = ("specs", "takes_true")
@@ -297,7 +286,9 @@ class ContextPattern:
             (
                 c,
                 _head(c),
-                [(k, a.name) for k, a in enumerate(c.args) if isinstance(a, Var)]
+                [(None, c.name)]
+                if isinstance(c, Var)
+                else [(k, a.name) for k, a in enumerate(c.args) if isinstance(a, Var)]
                 if isinstance(c, App) and c.functor not in AC_FUNCTORS
                 else [],
             )
@@ -324,11 +315,11 @@ def match_cc(
     So one index over a conjunction's frame serves every focus in it, each
     masking the children it lies under; the implicit `true` is never
     masked. A conjunct tries only the elements with its head key and, when
-    one of its arguments is a variable bound at that point, only those whose
-    argument there is AC-equal to the binding. Both filters drop exactly the
-    elements `_match_node` would refuse, and each bucket keeps index order,
-    so the substitutions come in the order of trying every element of the
-    context in turn.
+    it or one of its arguments is a variable bound at that point, only those
+    that are, or whose argument there is, AC-equal to the binding. Both
+    filters drop exactly the elements `_match_node` would refuse, and each
+    bucket keeps index order, so the substitutions come in the order of
+    trying every element of the context in turn.
 
     A nonzero `fresh` names positions of which every match must take at
     least one; the last conjunct tries only them when none is taken yet.

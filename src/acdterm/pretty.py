@@ -22,8 +22,9 @@ def _prec(t) -> int:
     return _ATOM_PREC
 
 
-def _render(t, ids: bool) -> str:
-    suffix = f"#{t.id}" if ids else ""
+def pretty(t: Term | ATerm, print_ids: bool = False) -> str:
+    """Concrete syntax for a term; with print_ids, nodes carry `#id` suffixes."""
+    suffix = f"#{t.id}" if print_ids else ""
     if isinstance(t, (Var, AVar)):
         return t.name + suffix
     if isinstance(t, (Num, ANum)):
@@ -32,24 +33,19 @@ def _render(t, ids: bool) -> str:
         prec = _BINOPS[t.functor]
         parts = []
         for a in t.args:
-            s = _render(a, ids)
+            s = pretty(a, print_ids)
             # non-associative comparisons also parenthesise equal precedence
             if _prec(a) < prec or (prec == 300 and _prec(a) == 300):
                 s = f"({s})"
             parts.append(s)
         body = f" {t.functor} ".join(parts)
-        return f"({body}){suffix}" if ids else body
+        return f"({body}){suffix}" if print_ids else body
     if t.functor == "~" and len(t.args) == 1:
-        s = _render(t.args[0], ids)
+        s = pretty(t.args[0], print_ids)
         if _prec(t.args[0]) < _PREFIX_PREC:
             s = f"({s})"
-        return f"(~{s}){suffix}" if ids else f"~{s}"
+        return f"(~{s}){suffix}" if print_ids else f"~{s}"
     if not t.args:
         return t.functor + suffix
-    args = ",".join(_render(a, ids) for a in t.args)
+    args = ",".join(pretty(a, print_ids) for a in t.args)
     return f"{t.functor}({args}){suffix}"
-
-
-def pretty(t: Term | ATerm, print_ids: bool = False) -> str:
-    """Concrete syntax for a term; with print_ids, nodes carry `#id` suffixes."""
-    return _render(t, print_ids)

@@ -446,6 +446,17 @@ def test_failing_ac_match_is_not_exponential(monkeypatch, rule, goal):
     assert searches.calls > 0
 
 
+def test_bound_variable_conjunct_tries_only_equal_context_elements(monkeypatch):
+    # X is bound by the head before the context is matched, so the context
+    # index offers only the elements AC-equal to b, not all 202 of them
+    program = parse_program("r @ X \\ q(X) <=> z.")
+    goal = P(" /\\ ".join(["q(b)"] + [f"c{i}" for i in range(200)] + ["b"]))
+    calls = count_calls(monkeypatch, matching, "_match_node")
+    res = run(program, goal)
+    assert res.status == NORMAL_FORM and len(res.trace) == 1
+    assert calls.calls <= 10, calls.calls
+
+
 def test_leq_corpus_reaches_normal_form_on_five_cycle(monkeypatch, leq_program):
     # the full corpus program, conj_false/conj_true included
     calls = count_calls(monkeypatch, matching, "_match_node", limit=100_000)

@@ -295,7 +295,7 @@ def test_pruned_matcher_keeps_reference_order():
         whole = list(_match_node(pattern, subject, {}))
         assert whole == list(_ref_match_node(pattern, subject, {})), where
         assert list(match(pattern, subject)) == [th for th, _inst in whole]
-        mine = [(r.theta, r.matched, r.selected) for r in redexes_at(subject, pattern)]
+        mine = [(th, inst, sel) for sel, th, inst in redexes_at(subject, pattern)]
         ref = _ref_redexes(subject, pattern)
         assert mine == ref, where
         full_matches += bool(whole)
@@ -324,9 +324,9 @@ def test_pruned_matcher_keeps_reference_order():
 def test_redexes_at(goal, head, expected):
     # the residual of a selection is its context within the node
     found = [
-        (path, r.selected, [strip(x) for x in conjunctive_context(node, (), r.selected)])
+        (path, sel, [strip(x) for x in conjunctive_context(node, (), sel)])
         for path, node in subterms(A(goal))
-        for r in redexes_at(node, P(head))
+        for sel, _theta, _inst in redexes_at(node, P(head))
     ]
     assert found == expected
 

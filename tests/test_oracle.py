@@ -350,20 +350,28 @@ def test_engine_context_matching_agrees_with_oracle(source, goal):
 def test_engine_traces_of_random_programs_are_legal():
     # the random programs of test_semi_naive, three goals each; a case whose
     # goal passes size 20 at any step is skipped, as the referee's work grows
-    # exponentially with the goal
-    checked = 0
+    # exponentially with the goal. A run that ends in a normal form with
+    # every goal within size 16 must end in one of the search's normal forms
+    checked = compared = 0
     for seed in range(60):
         rng = random.Random(seed)
         src = _random_program(rng)
         program = parse_program(src)
         for _ in range(3):
             goal = P(_random_goal(rng))
-            trace = run(program, goal, 12).trace
-            if max([size(goal)] + [size(ts.goal) for ts in trace]) > 20:
+            res = run(program, goal, 12)
+            largest = max([size(goal)] + [size(ts.goal) for ts in res.trace])
+            if largest > 20:
                 continue
-            assert verify_trace(program, goal, trace), f"seed {seed}: {src!r} on {goal}"
+            where = f"seed {seed}: {src!r} on {goal}"
+            assert verify_trace(program, goal, res.trace), where
             checked += 1
-    assert checked > 120, checked
+            if res.status == NORMAL_FORM and largest <= 16:
+                found = search_normal_forms(program, goal, depth=12, width=100)
+                if not found.truncated:
+                    assert canonical(strip(res.final.goal)) in found.normal_forms, where
+                    compared += 1
+    assert checked > 120 and compared > 90, (checked, compared)
 
 
 # --- search bounds ------------------------------------------------------------------

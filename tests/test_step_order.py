@@ -111,15 +111,15 @@ def _ref_step(state, program):
     reference above."""
     for rule in program.rules:
         for path, node in subterms(state.goal):
-            for redex in redexes_at(node, rule.head):
+            for selected, theta0, matched in redexes_at(node, rule.head):
                 if rule.kind == SIMPAGATION:
-                    context = conjunctive_context(state.goal, path, redex.selected)
-                    thetas = _ref_match_cc(rule.cc_head, context, redex.theta)
+                    context = conjunctive_context(state.goal, path, selected)
+                    thetas = _ref_match_cc(rule.cc_head, context, theta0)
                 else:
-                    thetas = [redex.theta]
+                    thetas = [theta0]
                 for theta in thetas:
                     fired = engine._successor(
-                        rule, state, path, node, redex.selected, rule.head, redex.matched, theta
+                        rule, state, path, node, selected, rule.head, matched, theta
                     )
                     if fired is not None:
                         return fired
