@@ -57,24 +57,21 @@ def _load_goal(args):
         raise SystemExit(f"{origin}:{exc}") from exc
 
 
-def _default_max_steps() -> int:
-    env = os.environ.get("ACDTERM_MAX_STEPS")
-    if env is not None:
-        try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-        print(f"acdterm: ignoring invalid ACDTERM_MAX_STEPS={env!r}", file=sys.stderr)
-    return DEFAULT_MAX_STEPS
-
-
 def _positive(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
     return value
+
+
+def _default_max_steps() -> int:
+    env = os.environ.get("ACDTERM_MAX_STEPS")
+    if env is not None:
+        try:
+            return _positive(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"acdterm: ignoring invalid ACDTERM_MAX_STEPS={env!r}", file=sys.stderr)
+    return DEFAULT_MAX_STEPS
 
 
 def _add_goal_options(sub):

@@ -8,7 +8,7 @@ the freshly annotated body, propagation conjoins the body with the matched
 instance and records a history entry, simpagation additionally requires its
 context head to match within the conjunctive context of the focus.
 
-A step tables the goal's nodes by head key (`matching._head`) once, and each
+A step tables the goal's nodes by head key (`terms._head`) once, and each
 rule visits, in preorder, only the nodes under its head's key (every node for
 a variable head). Contexts are indexed by head key and bound argument
 (`matching.ContextIndex`), one index per conjunction per step, shared by the
@@ -52,7 +52,6 @@ from typing import Iterator
 from .matching import (
     ContextIndex,
     Subst,
-    _head,
     _instantiate,
     guard_holds,
     match_cc,
@@ -70,6 +69,7 @@ from .terms import (
     Position,
     Term,
     Var,
+    _head,
     aapp,
     annotate_from,
     conjunctive_context,
@@ -79,12 +79,6 @@ from .terms import (
     subterms,
     vars_of,
 )
-
-KIND_OF = {
-    "simplification": "simplify",
-    "propagation": "propagate",
-    "simpagation": "simpagate",
-}
 
 NORMAL_FORM = "normal_form"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -291,7 +285,7 @@ def _successor(
     ts = TraceStep(
         index=1,
         rule=rule.name,
-        kind=KIND_OF[rule.kind],
+        kind=rule.kind,
         path=path,
         entry=entry.ids if entry else None,
         goal=goal,
@@ -354,7 +348,7 @@ def step(
     """One transition: textually first rule at its first redex, or None.
 
     A rule visits, in preorder, only the goal nodes whose head key
-    (`matching._head`) is its head's, or every node for a variable head.
+    (`terms._head`) is its head's, or every node for a variable head.
     `context_of(path, node, selected)` gives a focus's conjunctive context
     as an index and the mask of its positions there.
 

@@ -34,6 +34,8 @@ from .terms import (
     Num,
     Term,
     Var,
+    _CONTEXT_END,
+    _head,
     ac_equal,
     ac_key,
     size,
@@ -88,17 +90,6 @@ def _match_args(pattern: App, subject: AApp, i: int, theta: Subst, insts: list):
         return
     for th2, inst in _match_node(pattern.args[i], subject.args[i], theta):
         yield from _match_args(pattern, subject, i + 1, th2, insts + [inst])
-
-
-def _head(t: Term | ATerm):
-    """A key on which a non-variable pattern and a subject agree exactly when
-    their head symbols fit: a number's value, an AC node's functor, and
-    functor and arity for any other node (None for a variable)."""
-    if isinstance(t, (App, AApp)):
-        return t.functor if t.functor in AC_FUNCTORS else (t.functor, len(t.args))
-    if isinstance(t, (Num, ANum)):
-        return t.value
-    return None
 
 
 def _match_ac(pattern: App, subject: AApp, theta: Subst, full: bool):
@@ -214,8 +205,7 @@ def redexes_at(node: ATerm, head: Term) -> Iterator[tuple[tuple[int, ...] | None
         yield None, theta, inst
 
 
-# The implicit `true` that ends every conjunctive context; it is no goal node.
-_CONTEXT_END = AApp("true", (), -1)
+# the head key of the implicit `true` that ends every context
 _END_KEY = _head(_CONTEXT_END)
 
 

@@ -13,7 +13,7 @@ are refused rather than handled slowly or incompletely.
 
 The oracle's own parts are the matcher and the state key: `_arrangements`
 (the binary views, annotated terms whose AC nodes are binary, built by the
-recursion `_arr`), `_match_b`, `_cc_assign`, `_root_ok` and `_relabel`
+recursion `_arr`), `_match_b`, `_cc_assign`, `_children_ok` and `_relabel`
 (through `_relabel_walk`), the one key on which the search and the trace
 replay tell states apart. Each match is handed, as the head view, the matched
 view and the bindings, to `engine._successor`, the firing routine the engine
@@ -37,9 +37,9 @@ from .terms import (
     App,
     ATerm,
     AVar,
-    Num,
     Term,
-    Var,
+    _CONTEXT_END,
+    _head,
     ac_key,
     annotate_from,
     canonical,
@@ -56,10 +56,6 @@ MAX_ARRANGEMENTS = 200_000
 # Default search bounds: levels of transitions, and visited states.
 DEFAULT_DEPTH = 20
 DEFAULT_WIDTH = 10_000
-
-# The trailing `true` of every conjunctive context; it is no goal node.
-_CONTEXT_END = AApp("true", (), -2)
-
 
 class OracleSizeError(RuntimeError):
     """The goal exceeds the oracle's desk-scale bounds."""
@@ -181,36 +177,16 @@ def _match_b(pattern: ATerm, subject: ATerm, theta):
     return theta
 
 
-def _root_ok(head: Term, focus: ATerm) -> bool:
-    """Cheap sound pre-filter before arrangement enumeration."""
-    if isinstance(head, Var):
-        return True
-    if isinstance(head, Num):
-        return isinstance(focus, ANum) and focus.value == head.value
-    if not isinstance(focus, AApp) or focus.functor != head.functor:
+def _children_ok(head: App, focus: AApp) -> bool:
+    """Cheap sound pre-filter for an AC head at a focus with its functor: the
+    focus has as many children as the head, or more if a head child is a
+    variable, and each non-variable head child's key is among its children's."""
+    need = [_head(c) for c in head.args]
+    n = len(focus.args)
+    if n < len(need) or (None not in need and n != len(need)):
         return False
-    if head.functor not in AC_FUNCTORS:
-        return len(focus.args) == len(head.args)
-    pcs = head.args
-    scs = focus.args
-    var_count = sum(isinstance(c, Var) for c in pcs)
-    if len(scs) < len(pcs) or (var_count == 0 and len(scs) != len(pcs)):
-        return False
-    for pc in pcs:
-        if isinstance(pc, Var):
-            continue
-        if isinstance(pc, Num):
-            if not any(isinstance(sc, ANum) and sc.value == pc.value for sc in scs):
-                return False
-        else:
-            if not any(
-                isinstance(sc, AApp)
-                and sc.functor == pc.functor
-                and (pc.functor in AC_FUNCTORS or len(sc.args) == len(pc.args))
-                for sc in scs
-            ):
-                return False
-    return True
+    keys = {_head(c) for c in focus.args}
+    return all(k is None or k in keys for k in need)
 
 
 def _cc_assign(conj_arrs, elems, arrs, i: int, used: frozenset, th):
@@ -259,12 +235,12 @@ def enumerate_transitions(
             hit = arr_cache[id(t)] = (t, _arrangements(t, MAX_ARRANGEMENTS))
         return hit[1]
 
-    table = []  # each rule, its head views and its context conjuncts' views
+    table = []  # each rule, its head key and views, its context conjuncts' views
     for rule in program.rules:
         cc = rule.cc_head
         conjuncts = cc.args if isinstance(cc, App) and cc.functor == AND else (cc,)
         cc_views = None if cc is None else [_pattern_views(c) for c in conjuncts]
-        table.append((rule, _pattern_views(rule.head), cc_views))
+        table.append((rule, _head(rule.head), _pattern_views(rule.head), cc_views))
     successors: list[tuple[EngineState, TraceStep]] = []
 
     for path, node in subterms(goal):
@@ -276,9 +252,13 @@ def enumerate_transitions(
                     members = tuple(node.args[i - 1] for i in combo)
                     foci.append((AApp(node.functor, members, -1), combo))
         for focus, selected in foci:
+            key = _head(focus)
             context = None  # the focus's context, once a simpagation needs it
-            for rule, head_views, cc_views in table:
-                if not _root_ok(rule.head, focus):
+            for rule, head_key, head_views, cc_views in table:
+                if head_key is not None and (
+                    head_key != key
+                    or head_key in AC_FUNCTORS and not _children_ok(rule.head, focus)
+                ):
                     continue
                 for s_arr in arrs(focus):
                     for h_arr in head_views:

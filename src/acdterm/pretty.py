@@ -6,7 +6,7 @@ parse_term(pretty(t)) is structurally equal to t.
 
 from __future__ import annotations
 
-from .parser import _BINOPS
+from .parser import _BINOPS, _NONASSOC
 from .terms import AApp, ANum, App, ATerm, AVar, Num, Term, Var
 
 _PREFIX_PREC = 600
@@ -35,7 +35,7 @@ def pretty(t: Term | ATerm, print_ids: bool = False) -> str:
         for a in t.args:
             s = pretty(a, print_ids)
             # non-associative comparisons also parenthesise equal precedence
-            if _prec(a) < prec or (prec == 300 and _prec(a) == 300):
+            if _prec(a) < prec or (t.functor in _NONASSOC and _prec(a) == prec):
                 s = f"({s})"
             parts.append(s)
         body = f" {t.functor} ".join(parts)

@@ -7,15 +7,15 @@ from dataclasses import dataclass, field
 from .matching import ContextPattern
 from .terms import TRUE, Term, vars_of
 
-SIMPLIFICATION = "simplification"
-PROPAGATION = "propagation"
-SIMPAGATION = "simpagation"
+SIMPLIFICATION = "simplify"
+PROPAGATION = "propagate"
+SIMPAGATION = "simpagate"
 
 
 @dataclass(frozen=True)
 class Rule:
     name: str
-    kind: str  # simplification | propagation | simpagation
+    kind: str  # simplify | propagate | simpagate
     head: Term
     body: Term
     guard: Term = TRUE

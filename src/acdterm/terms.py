@@ -1,5 +1,5 @@
-"""Term representation: plain terms, annotated terms, positions, AC keys and
-canonical forms, and conjunctive contexts.
+"""Term representation: plain terms, annotated terms, positions, head keys,
+AC keys and canonical forms, and conjunctive contexts.
 
 Terms are immutable. Operators in AC_FUNCTORS are kept flattened: an AC node
 never has a direct child with the same functor and always has at least two
@@ -262,6 +262,17 @@ def ac_key(t) -> tuple:
     return (2, f, len(keys), tuple(keys))
 
 
+def _head(t: Term | ATerm):
+    """A key on which a non-variable pattern and a subject agree exactly when
+    their head symbols fit: a number's value, an AC node's functor, and
+    functor and arity for any other node (None for a variable)."""
+    if isinstance(t, (App, AApp)):
+        return t.functor if t.functor in AC_FUNCTORS else (t.functor, len(t.args))
+    if isinstance(t, (Num, ANum)):
+        return t.value
+    return None
+
+
 def _from_key(k: tuple) -> Term:
     if k[0] == 0:
         return Var(k[1])
@@ -282,6 +293,9 @@ def ac_equal(t1, t2) -> bool:
 
 
 # --- conjunctive context ---------------------------------------------------
+
+# The implicit `true` that ends every conjunctive context; it is no goal node.
+_CONTEXT_END = AApp("true", (), -1)
 
 
 def conjunctive_context(g, p: Position, selected: tuple[int, ...] | None) -> tuple:

@@ -117,9 +117,12 @@ def _conjuncts(t):
 
 def test_match_completeness_against_rearrangement_oracle():
     # on small instances the substitution set must equal the one found by
-    # brute-force enumeration of all binary AC rearrangements of both sides
-    from acdterm.oracle import _arrangements, _match_b, _pattern_views
-    from acdterm.terms import annotate_from
+    # brute-force enumeration of all binary AC rearrangements of both sides;
+    # it is also the referee of the shared head key: where the oracle's
+    # pre-filter (keys differ, or `_children_ok` fails) refuses a pair, both
+    # matchers must find nothing there
+    from acdterm.oracle import _arrangements, _children_ok, _match_b, _pattern_views
+    from acdterm.terms import _head, annotate_from
 
     rng = random.Random(37)
     patterns = [
@@ -128,8 +131,11 @@ def test_match_completeness_against_rearrangement_oracle():
         P("X /\\ false"),
         P("g(X,X)"),
         P("X + Y"),
+        P("X + 1"),
+        P("leq(X,a)"),
     ]
-    leaves = [App("a"), App("b"), App("false"), Var("U")]
+    leaves = [App("a"), App("b"), App("false"), Var("U"), Num(1)]
+    refused = set()  # root keys and patterns whose children the pre-filter refused
 
     def rand_subject(depth):
         if depth == 0 or rng.random() < 0.4:
@@ -166,6 +172,17 @@ def test_match_completeness_against_rearrangement_oracle():
             # the oracle's head views keep the written child order: the
             # subject's permutations alone reach every substitution
             assert mine == brute(_pattern_views(pattern)), where
+            key = _head(pattern)
+            if key != _head(sa):
+                refused.add(key)
+            elif key in AC_FUNCTORS and not _children_ok(pattern, sa):
+                refused.add(where[0])
+            else:
+                continue
+            assert not mine, where
+    # functor/arity and AC keys refused a pair at the root, a number child
+    # and a constant child below it
+    assert {("g", 2), ("leq", 2), "+", "/\\", "X + 1", "X /\\ false"} <= refused, refused
 
 
 # --- pruning keeps the enumeration order -----------------------------------------

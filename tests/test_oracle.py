@@ -589,3 +589,21 @@ def test_referee_leaves_no_cyclic_garbage(leq_program, unify_program):
             verified = verify_trace(program, goal, trace)
             again = search_normal_forms(program, goal)
         assert verified and again == first and not first.truncated
+
+
+def test_oracle_imports_nothing_from_the_matcher():
+    # the referee keeps its own matcher, so that the engine's matching code
+    # cannot vouch for itself (README, Decisions)
+    import ast
+    import pathlib
+
+    from acdterm import oracle
+
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert not [n for n in names if "matching" in n.split(".")], names

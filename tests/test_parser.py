@@ -74,7 +74,7 @@ def test_syntax_errors_name_the_token(parse, src, message, col):
 def test_parse_simplification():
     prog = parse_program("leq(X,X) <=> true.")
     (rule,) = prog.rules
-    assert rule.kind == "simplification"
+    assert rule.kind == "simplify"
     assert rule.guard == App("true")
     assert rule.name == "rule_1"
 
@@ -82,7 +82,7 @@ def test_parse_simplification():
 def test_parse_simpagation():
     prog = parse_program("leq(X,Y) \\ leq(Y,X) <=> X = Y.")
     (rule,) = prog.rules
-    assert rule.kind == "simpagation"
+    assert rule.kind == "simpagate"
     assert rule.cc_head == App("leq", (Var("X"), Var("Y")))
     assert rule.head == App("leq", (Var("Y"), Var("X")))
 
@@ -91,7 +91,7 @@ def test_parse_named_propagation():
     prog = parse_program("trans @ leq(X,Y) /\\ leq(Y,Z) ==> leq(X,Z).")
     (rule,) = prog.rules
     assert rule.name == "trans"
-    assert rule.kind == "propagation"
+    assert rule.kind == "propagate"
 
 
 def test_parse_guard():

@@ -19,9 +19,18 @@ from test_acceptance import _random_goals
 
 from acdterm import engine, parse_program, parse_term
 from acdterm.engine import initial_state, step
-from acdterm.matching import ContextIndex, _CONTEXT_END, _match_node, match_cc, redexes_at
+from acdterm.matching import ContextIndex, _match_node, match_cc, redexes_at
 from acdterm.rules import SIMPAGATION
-from acdterm.terms import AC_FUNCTORS, AND, AApp, App, annotate_from, conjunctive_context, subterms
+from acdterm.terms import (
+    AC_FUNCTORS,
+    AND,
+    AApp,
+    App,
+    _CONTEXT_END,
+    annotate_from,
+    conjunctive_context,
+    subterms,
+)
 
 P = parse_term
 
