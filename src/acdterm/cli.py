@@ -8,15 +8,19 @@
 Exit codes: 0 normal form reached (or check passed), 2 step budget exhausted,
 1 parse or usage error (a term nested too deeply for the recursive parser,
 engine or printer, and a --max-steps, --depth or --width that is not a positive
-integer included) or, for `oracle`, a goal beyond the oracle's size bounds.
+integer included), for `oracle` a goal beyond the oracle's size bounds, or a
+trace or result that cannot be written (a full disk, a closed pipe or stream).
 Program and goal files are read as UTF-8, with or without a byte-order mark.
 The final goal is printed to stdout; the trace goes to stderr or to
---trace-out.
+--trace-out. A failed write prints `acdterm: cannot write TARGET: REASON` to
+stderr, if stderr can still take it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
 import sys
@@ -37,6 +41,36 @@ def _read(path: str) -> str:
     except UnicodeDecodeError as exc:
         reason = f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
     raise SystemExit(f"acdterm: cannot read {path}: {reason}")
+
+
+def _emit(target: str, out, lines) -> None:
+    """Print lines to out and flush it; a failed write exits 1 naming target.
+
+    A standard stream that failed is pointed at os.devnull, so that the
+    interpreter's last flush of what it still holds succeeds; a file that
+    failed is closed, dropping what it holds.
+    """
+    try:
+        if out is None:  # the stream was closed when the program started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        for line in lines:
+            print(line, file=out)
+        out.flush()
+    except OSError as exc:
+        if out is sys.stdout or out is sys.stderr:
+            if out is not None:
+                with open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), out.fileno())
+        else:
+            with contextlib.suppress(OSError):
+                out.close()
+        raise SystemExit(f"acdterm: cannot write {target}: {exc.strerror}") from None
+
+
+def _warn(message: str) -> None:
+    """One line to stderr, dropped if stderr cannot take it."""
+    with contextlib.suppress(SystemExit):
+        _emit("<stderr>", sys.stderr, [message])
 
 
 def _load_program(path: str):
@@ -70,7 +104,7 @@ def _default_max_steps() -> int:
         try:
             return _positive(env)
         except (ValueError, argparse.ArgumentTypeError):
-            print(f"acdterm: ignoring invalid ACDTERM_MAX_STEPS={env!r}", file=sys.stderr)
+            _warn(f"acdterm: ignoring invalid ACDTERM_MAX_STEPS={env!r}")
     return DEFAULT_MAX_STEPS
 
 
@@ -86,34 +120,34 @@ def _cmd_run(args) -> int:
         args.max_steps = _default_max_steps()
     program = _load_program(args.program)
     goal = _load_goal(args)
-    out = sys.stderr
+    target, out = "<stderr>", sys.stderr
     if args.trace_out:
+        target = args.trace_out
         try:
-            out = open(args.trace_out, "w", encoding="utf-8")
+            out = open(target, "w", encoding="utf-8")
         except OSError as exc:
-            raise SystemExit(f"acdterm: cannot write {args.trace_out}: {exc.strerror}") from exc
+            raise SystemExit(f"acdterm: cannot write {target}: {exc.strerror}") from exc
     try:
         result = run(program, goal, max_steps=args.max_steps)
         if args.trace or args.trace_out:
-            for ts in result.trace:
-                if args.format == "json-lines":
-                    print(json.dumps(step_record(ts)), file=out)
-                else:
-                    print(format_step(ts), file=out)
+            render = format_step
+            if args.format == "json-lines":
+                render = lambda ts: json.dumps(step_record(ts))
+            _emit(target, out, map(render, result.trace))
     finally:
         if args.trace_out:
             out.close()
-    final = canonical(strip(result.final.goal))
     if args.print_ids:
-        print(pretty(result.final.goal, print_ids=True))
+        final = pretty(result.final.goal, print_ids=True)
     else:
-        print(pretty(final))
+        final = pretty(canonical(strip(result.final.goal)))
+    _emit("<stdout>", sys.stdout, [final])
     return 2 if result.status == BUDGET_EXHAUSTED else 0
 
 
 def _cmd_check(args) -> int:
     program = _load_program(args.program)
-    print(f"{args.program}: {len(program)} rules ok")
+    _emit("<stdout>", sys.stdout, [f"{args.program}: {len(program)} rules ok"])
     return 0
 
 
@@ -126,12 +160,9 @@ def _cmd_oracle(args) -> int:
         )
     except oracle_mod.OracleSizeError as exc:
         raise SystemExit(f"acdterm: oracle refused: {exc}")
-    for nf in sorted(pretty(t) for t in result.normal_forms):
-        print(nf)
-    print(
-        f"% explored {result.explored} states, truncated={str(result.truncated).lower()}",
-        file=sys.stderr,
-    )
+    _emit("<stdout>", sys.stdout, sorted(pretty(t) for t in result.normal_forms))
+    summary = f"% explored {result.explored} states, truncated={str(result.truncated).lower()}"
+    _emit("<stderr>", sys.stderr, [summary])
     return 0
 
 
@@ -174,11 +205,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except RecursionError:
-        print("acdterm: term nested too deeply", file=sys.stderr)
+        _warn("acdterm: term nested too deeply")
         return 1
     except SystemExit as exc:
         if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
+            _warn(exc.code)
             return 1
         raise
 

@@ -45,9 +45,8 @@ entry naming a removed node can never again equal the entry of a match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
 from itertools import count
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .matching import (
     ContextIndex,
@@ -86,21 +85,18 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 DEFAULT_MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     rule: str
     ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EngineState:
+class EngineState(NamedTuple):
     goal: ATerm
     history: frozenset[HistoryEntry]
     next_id: int
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     index: int
     rule: str
     kind: str  # simplify | propagate | simpagate
@@ -114,8 +110,7 @@ class TraceStep:
         return strip(self.goal)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     final: EngineState
     trace: tuple[TraceStep, ...]
     status: str
@@ -220,15 +215,11 @@ def _splice(node: ATerm, selected: tuple[int, ...], replacement: ATerm) -> ATerm
     residual children stay in place.
     """
     first = selected[0]
-    chosen = set(selected)
-    new_children: list[ATerm] = []
-    for i, child in enumerate(node.args, start=1):
-        if i == first:
-            new_children.append(replacement)
-        elif i in chosen:
-            continue
-        else:
-            new_children.append(child)
+    new_children = [
+        replacement if i == first else child
+        for i, child in enumerate(node.args, start=1)
+        if i == first or i not in selected
+    ]
     return aapp(node.functor, new_children, node.id)
 
 
@@ -282,14 +273,7 @@ def _successor(
     if history:
         live = ids_of(goal)
         history = frozenset(e for e in history if live.issuperset(e.ids))
-    ts = TraceStep(
-        index=1,
-        rule=rule.name,
-        kind=rule.kind,
-        path=path,
-        entry=entry.ids if entry else None,
-        goal=goal,
-    )
+    ts = TraceStep(1, rule.name, rule.kind, path, entry.ids if entry else None, goal)
     return EngineState(goal, history, next_id), ts
 
 
@@ -433,7 +417,7 @@ def run(program: Program, goal: Term, max_steps: int = DEFAULT_MAX_STEPS) -> Run
         if k >= max_steps:
             return RunResult(state, tuple(trace), BUDGET_EXHAUSTED)
         state, ts = nxt
-        trace.append(_dc_replace(ts, index=k + 1))
+        trace.append(ts._replace(index=k + 1))
         if len(memo) > 2 * kept:
             live = ids_of(state.goal)
             memo = {key: entry for key, entry in memo.items() if key[1] in live}

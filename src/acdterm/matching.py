@@ -21,6 +21,7 @@ bounded by the number of pattern children still to be served.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 from typing import Iterator
 
@@ -373,12 +374,8 @@ def _instantiate_with(
 # --- guards ------------------------------------------------------------------
 
 _COMPARISONS = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+    "=": operator.eq, "!=": operator.ne,
 }
 
 

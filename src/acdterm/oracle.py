@@ -23,9 +23,9 @@ the successor state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from .engine import EngineState, HistoryEntry, TraceStep, _successor, initial_state
 from .rules import Program
@@ -61,8 +61,7 @@ class OracleSizeError(RuntimeError):
     """The goal exceeds the oracle's desk-scale bounds."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     normal_forms: frozenset[Term]
     explored: int
     truncated: bool
@@ -370,8 +369,7 @@ def first_divergence(program: Program, goal: Term, trace) -> int | None:
     frontier = [_relabel(initial_state(goal))]
     for ts in trace:
         target = ac_key(ts.goal)
-        nxt: list[EngineState] = []
-        seen = set()
+        nxt: dict[EngineState, None] = {}  # the relabelled states, in order
         for st in frontier:
             for succ, sts in enumerate_transitions(st, program):
                 if (
@@ -379,13 +377,10 @@ def first_divergence(program: Program, goal: Term, trace) -> int | None:
                     and sts.kind == ts.kind
                     and ac_key(sts.goal) == target
                 ):
-                    r = _relabel(succ)
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
+                    nxt[_relabel(succ)] = None
         if not nxt:
             return ts.index
-        frontier = nxt
+        frontier = list(nxt)
     return None
 
 

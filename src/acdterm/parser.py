@@ -18,7 +18,7 @@ constants with a lower-case letter. `%` starts a line comment. AC operators
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rules import PROPAGATION, SIMPAGATION, SIMPLIFICATION, Program, Rule
 from .terms import TRUE, App, Num, Term, Var, app
@@ -32,8 +32,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # var | name | int | op
     text: str
     line: int
@@ -180,14 +179,11 @@ class _Parser:
         ):
             name = tok.text
             self.pos += 2
-        first = self.term()
+        head = self.term()
         cc_head: Term | None = None
         if self.at("\\"):
             self.next()
-            cc_head = first
-            head = self.term()
-        else:
-            head = first
+            cc_head, head = head, self.term()
         arrow = self.next()
         if arrow.text == "<=>":
             kind = SIMPAGATION if cc_head is not None else SIMPLIFICATION
@@ -197,15 +193,11 @@ class _Parser:
             kind = PROPAGATION
         else:
             raise ParseError(f"expected <=> or ==>, found {arrow.text!r}", arrow.line, arrow.col)
-        guard = TRUE
-        body = self.term()
+        guard, body = TRUE, self.term()
         if self.at("|"):
             self.next()
-            guard = body
-            body = self.term()
-        dot = self.next()
-        if dot.text != ".":
-            raise ParseError(f"expected '.', found {dot.text!r}", dot.line, dot.col)
+            guard, body = body, self.term()
+        self.expect(".")
         try:
             return Rule(name=name, kind=kind, head=head, body=body, guard=guard, cc_head=cc_head)
         except ValueError as exc:

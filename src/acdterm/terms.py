@@ -129,12 +129,8 @@ def annotate(used, t: Term) -> ATerm:
     `used` may be a collection of identifiers or an integer high-water mark;
     fresh identifiers are allocated in ascending postorder.
     """
-    if isinstance(used, int):
-        start = used
-    else:
-        start = max(used, default=-1) + 1
-    result, _ = annotate_from(t, start)
-    return result
+    start = used if isinstance(used, int) else max(used, default=-1) + 1
+    return annotate_from(t, start)[0]
 
 
 def annotate_from(t: Term, next_id: int) -> tuple[ATerm, int]:
@@ -161,14 +157,19 @@ def _children(t):
     return ()
 
 
+def _child(t, i: int):
+    """Child i (1-based) of t; PositionError when t has no such child."""
+    args = _children(t)
+    if not 1 <= i <= len(args):
+        raise PositionError(f"invalid position index {i} (node has {len(args)} children)")
+    return args[i - 1]
+
+
 def subterm_at(t, p: Position):
     """Subterm at position p (1-based child indices; () is the whole term)."""
     cur = t
     for i in p:
-        args = _children(cur)
-        if not 1 <= i <= len(args):
-            raise PositionError(f"invalid position index {i} (node has {len(args)} children)")
-        cur = args[i - 1]
+        cur = _child(cur, i)
     return cur
 
 
@@ -181,11 +182,9 @@ def replace_at(t, s, p: Position):
     if not p:
         return s
     i = p[0]
-    args = _children(t)
-    if not 1 <= i <= len(args):
-        raise PositionError(f"invalid position index {i} (node has {len(args)} children)")
-    new_args = list(args)
-    new_args[i - 1] = replace_at(args[i - 1], s, p[1:])
+    child = replace_at(_child(t, i), s, p[1:])
+    new_args = list(t.args)
+    new_args[i - 1] = child
     if isinstance(t, AApp):
         return aapp(t.functor, new_args, t.id)
     return app(t.functor, new_args)
@@ -312,12 +311,10 @@ def conjunctive_context(g, p: Position, selected: tuple[int, ...] | None) -> tup
     out = []
     cur = g
     for i in p:
-        args = _children(cur)
-        if not 1 <= i <= len(args):
-            raise PositionError(f"invalid position index {i} (node has {len(args)} children)")
+        child = _child(cur, i)
         if cur.functor == AND:
-            out.extend(a for j, a in enumerate(args, start=1) if j != i)
-        cur = args[i - 1]
+            out.extend(a for j, a in enumerate(cur.args, start=1) if j != i)
+        cur = child
     if selected is not None and cur.functor == AND:
         out.extend(a for j, a in enumerate(cur.args, start=1) if j not in selected)
     return tuple(out)

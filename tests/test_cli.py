@@ -1,15 +1,36 @@
+import errno
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import pytest
 
 from acdterm import ac_equal, cli, engine, parse_term
 from acdterm.cli import main
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
+LEQ_GOAL = "leq(X,Y) /\\ leq(Y,Z) /\\ ~leq(X,Z)"
 
 
 def prog(name):
     return str(PROGRAMS / name)
+
+
+def cli_process(argv, stdout, **options):
+    """Run the command line in a fresh interpreter with stdout on the given
+    descriptor; returns (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "acdterm.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+        **options,
+    )
+    return proc.returncode, proc.stderr.decode()
 
 
 def test_run_leq_prints_false(capsys):
@@ -172,6 +193,43 @@ def test_unwritable_trace_out(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"acdterm: cannot write {target}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_trace_out_write_failure():
+    argv = ["run", "-p", prog("leq.acd"), "-g", LEQ_GOAL, "--trace-out", "/dev/full"]
+    code, err = cli_process(argv, subprocess.DEVNULL)
+    assert code == 1
+    assert err.splitlines() == [f"acdterm: cannot write /dev/full: {os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["run", "-p", prog("leq.acd"), "-g", LEQ_GOAL], "<stdout>"),
+        (["run", "-p", prog("leq.acd"), "-g", LEQ_GOAL, "--trace-out", "/dev/stdout"], "/dev/stdout"),
+        (["oracle", "-p", prog("leq.acd"), "-g", LEQ_GOAL], "<stdout>"),
+    ],
+    ids=["run", "trace_out_stdout", "oracle"],
+)
+def test_closed_stdout(argv, target):
+    # a pipe whose reader has gone: every write to it fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert code == 1
+    assert err.splitlines() == [f"acdterm: cannot write {target}: {os.strerror(errno.EPIPE)}"]
+
+
+def test_stdout_closed_at_start():
+    # the interpreter starts without a descriptor 1, so it has no sys.stdout
+    argv = ["run", "-p", prog("leq.acd"), "-g", LEQ_GOAL]
+    code, err = cli_process(argv, None, preexec_fn=lambda: os.close(1))
+    assert code == 1
+    assert err.splitlines() == [f"acdterm: cannot write <stdout>: {os.strerror(errno.EBADF)}"]
 
 
 def test_deeply_nested_goal(tmp_path, capsys):

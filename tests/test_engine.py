@@ -222,6 +222,15 @@ def test_integer_disequality_guard():
     assert run(prog, P("f(a)")).trace == ()
 
 
+def test_arithmetic_guard_with_a_non_integer_operand():
+    prog = parse_program("r @ f(X) <=> X + 1 <= 3 | g(X). s @ h(X) <=> X * 2 >= 0 | g(X).")
+    assert [ts.rule for ts in run(prog, P("f(2)")).trace] == ["r"]
+    assert [ts.rule for ts in run(prog, P("h(2)")).trace] == ["s"]
+    # `a + 1` and `a * 2` are no integers, so neither guard holds
+    assert run(prog, P("f(a)")).trace == ()
+    assert run(prog, P("h(a)")).trace == ()
+
+
 def test_trace_formats():
     prog = parse_program("once @ a <=> b.")
     res = run(prog, App("a"))

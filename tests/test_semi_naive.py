@@ -13,7 +13,6 @@ for a longer sweep:
 import pathlib
 import random
 import sys
-from dataclasses import replace
 
 from conftest import count_calls
 
@@ -96,7 +95,7 @@ def _stepped(program, goal, max_steps, cap):
             if fired is None:
                 return state, trace, engine.NORMAL_FORM, False
             state, ts = fired
-            trace.append(replace(ts, index=k + 1))
+            trace.append(ts._replace(index=k + 1))
             capped = size(state.goal) > cap or redexes[0] > _REDEX_CAP
             if capped:
                 break

@@ -23,7 +23,7 @@ from acdterm import (
     subterms,
     vars_of,
 )
-from acdterm.terms import AC_FUNCTORS, ac_key, annotate_from
+from acdterm.terms import AC_FUNCTORS, aapp, ac_key, annotate_from
 
 P = parse_term
 
@@ -82,6 +82,13 @@ def test_subterm_invalid_position():
 def test_invalid_terms_and_positions(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_ac_node_with_one_operand_is_that_operand():
+    a = App("a")
+    assert app("+", (a,)) is a
+    child = AApp("f", (), 1)
+    assert aapp("*", (child,), 2) is child
 
 
 def test_replace_at_simple():
