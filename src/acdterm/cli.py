@@ -9,7 +9,8 @@ Exit codes: 0 normal form reached (or check passed), 2 step budget exhausted,
 1 parse or usage error (a term nested too deeply for the recursive parser,
 engine or printer, and a --max-steps, --depth or --width that is not a positive
 integer included), for `oracle` a goal beyond the oracle's size bounds, or a
-trace or result that cannot be written (a full disk, a closed pipe or stream).
+trace, result, usage or help text that cannot be written (a full disk, a closed
+pipe or stream).
 Program and goal files are read as UTF-8, with or without a byte-order mark.
 The final goal is printed to stdout; the trace goes to stderr or to
 --trace-out. A failed write prints `acdterm: cannot write TARGET: REASON` to
@@ -166,8 +167,18 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage, help and errors are written by `_emit`."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            out = file or sys.stderr
+            target = "<stdout>" if out is sys.stdout else "<stderr>"
+            _emit(target, out, [message.removesuffix("\n")])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="acdterm",
         description="AC term rewriting with conjunctive-context and propagation rules",
     )
@@ -198,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has printed the usage error and exits 2, which here means
-        # an exhausted step budget; -h exits 0
-        return 1 if exc.code else 0
-    try:
         return args.fn(args)
     except RecursionError:
         _warn("acdterm: term nested too deeply")
@@ -211,7 +217,9 @@ def main(argv=None) -> int:
         if isinstance(exc.code, str):
             _warn(exc.code)
             return 1
-        raise
+        # argparse has printed the usage error and exits 2, which here means
+        # an exhausted step budget; -h exits 0
+        return 1 if exc.code else 0
 
 
 if __name__ == "__main__":

@@ -70,6 +70,7 @@ from .terms import (
     Var,
     _head,
     aapp,
+    ac_key,
     annotate_from,
     conjunctive_context,
     ids_of,
@@ -139,13 +140,12 @@ def entry_of(rule: str, t: ATerm) -> HistoryEntry:
 
 def _zip_ids(a: ATerm, b: ATerm, rho: dict[int, int]) -> None:
     rho[a.id] = b.id
-    if (
-        isinstance(a, AApp)
-        and isinstance(b, AApp)
-        and a.functor == b.functor
-        and len(a.args) == len(b.args)
-    ):
-        for x, y in zip(a.args, b.args):
+    if isinstance(a, AApp):
+        xs, ys = a.args, b.args
+        if a.functor in AC_FUNCTORS:
+            # stable: children with equal keys keep their list order
+            xs, ys = sorted(xs, key=ac_key), sorted(ys, key=ac_key)
+        for x, y in zip(xs, ys):
             _zip_ids(x, y, rho)
 
 
@@ -163,6 +163,12 @@ def update_history(
     those of body_inst at q is applied to every entry mentioning a renamed
     identifier, and the renamed entry is added. The head may be a plain
     pattern or an annotated view of one aligned with head_inst.
+
+    The two subtrees are AC-equal: an occurrence matched the variable's
+    binding modulo AC, and the body holds a copy of that binding. So they
+    are paired node for node, an AC node's children in `ac_key` order on
+    both sides, and an occurrence that lists them in another order than the
+    binding still renames each identifier onto its own copy.
     """
     if not h0:
         return h0

@@ -13,12 +13,12 @@ are refused rather than handled slowly or incompletely.
 
 The oracle's own parts are the matcher and the state key: `_arrangements`
 (the binary views, annotated terms whose AC nodes are binary, built by the
-recursion `_arr`), `_match_b`, `_cc_assign`, `_children_ok` and `_relabel`
-(through `_relabel_walk`), the one key on which the search and the trace
-replay tell states apart. Each match is handed, as the head view, the matched
-view and the bindings, to `engine._successor`, the firing routine the engine
-uses too: guard, history check and entry, body instance, history renaming and
-the successor state.
+recursion `_arr`), `_match_b`, `_cc_assign`, `_children_ok`,
+`_in_goal_order` and `_relabel` (through `_relabel_walk`), the one key on
+which the search and the trace replay tell states apart. Each match is
+handed, as the head view, the matched view and the bindings, to
+`engine._successor`, the firing routine the engine uses too: guard, history
+check and entry, body instance, history renaming and the successor state.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from .engine import EngineState, HistoryEntry, TraceStep, _successor, initial_state
-from .rules import Program
+from .engine import EngineState, HistoryEntry, TraceStep, _occurrences, _successor, initial_state
+from .rules import PROPAGATION, Program
 from .terms import (
     AC_FUNCTORS,
     AND,
@@ -40,6 +40,7 @@ from .terms import (
     Term,
     _CONTEXT_END,
     _head,
+    aapp,
     ac_key,
     annotate_from,
     canonical,
@@ -157,9 +158,9 @@ def _match_b(pattern: ATerm, subject: ATerm, theta):
         bound = theta.get(name)
         if bound is None:
             return {**theta, name: subject}
-        # structural, not ac_key: engine.update_history pairs each occurrence
-        # with the body's copy of the binding node by node, so an AC-equal
-        # occurrence in another order would pair the wrong identifiers
+        # structural, not ac_key: a propagation's entry lists an occurrence
+        # in the order of the view it matched, so every AC-equal view would
+        # fire the same propagation once more with its own entry
         return theta if _same_shape(bound, subject) else None
     if isinstance(pattern, ANum):
         return theta if isinstance(subject, ANum) and subject.value == pattern.value else None
@@ -186,6 +187,26 @@ def _children_ok(head: App, focus: AApp) -> bool:
         return False
     keys = {_head(c) for c in focus.args}
     return all(k is None or k in keys for k in need)
+
+
+def _in_goal_order(t: ATerm, order: dict[int, int], ties: bool = False) -> bool:
+    """Whether a binary view lists each AC node's children in goal order;
+    with `ties`, only the children of equal `ac_key`.
+
+    order maps each goal identifier to its node's index in preorder; the
+    view's synthetic nodes are flattened away."""
+    if not isinstance(t, AApp):
+        return True
+    members = t.args
+    if t.functor in AC_FUNCTORS:
+        members = aapp(t.functor, members, t.id).args
+        last: dict = {}  # by key, the index of the last child seen
+        for m in members:
+            k = ac_key(m) if ties else None
+            if last.get(k, -1) > order[m.id]:
+                return False
+            last[k] = order[m.id]
+    return all(_in_goal_order(m, order, ties) for m in members)
 
 
 def _cc_assign(conj_arrs, elems, arrs, i: int, used: frozenset, th):
@@ -215,7 +236,9 @@ def enumerate_transitions(
 
     One entry per firing: a head assignment is reached once per order and
     shape of the focus's binary views, and two firings may give the same
-    state up to identifier relabelling. The successors are raw, not
+    state up to identifier relabelling. A propagation fires only on views
+    that list its bindings' AC children in goal order (`_in_goal_order`), so
+    it fires once per binding. The successors are raw, not
     relabelled; callers key states on `_relabel`, the oracle's one state key.
     Raises OracleSizeError beyond the size bounds: the oracle is desk-scale
     only and refuses rather than degrade.
@@ -241,8 +264,10 @@ def enumerate_transitions(
         cc_views = None if cc is None else [_pattern_views(c) for c in conjuncts]
         table.append((rule, _head(rule.head), _pattern_views(rule.head), cc_views))
     successors: list[tuple[EngineState, TraceStep]] = []
+    nodes = subterms(goal)
+    order = None  # each goal identifier, to its node's index in preorder
 
-    for path, node in subterms(goal):
+    for path, node in nodes:
         foci: list[tuple[ATerm, tuple[int, ...] | None]] = [(node, None)]
         if isinstance(node, AApp) and node.functor in AC_FUNCTORS:
             idxs = range(1, len(node.args) + 1)
@@ -264,6 +289,19 @@ def enumerate_transitions(
                         theta = _match_b(h_arr, s_arr, {})
                         if theta is None:
                             continue
+                        if rule.kind == PROPAGATION and any(
+                            isinstance(v, AApp) and v.args for v in theta.values()
+                        ):
+                            # one firing per binding: another order of its AC
+                            # nodes, or of equal children in a repeated
+                            # occurrence, would fire again with an entry of its own
+                            if order is None:
+                                order = {n.id: i for i, (_, n) in enumerate(nodes)}
+                            if not all(
+                                _in_goal_order(t, order, t is not theta[name])
+                                for name, t in _occurrences(h_arr, s_arr)
+                            ):
+                                continue
                         thetas = (theta,)
                         if cc_views is not None:
                             if context is None:

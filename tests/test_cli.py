@@ -209,8 +209,10 @@ def test_trace_out_write_failure():
         (["run", "-p", prog("leq.acd"), "-g", LEQ_GOAL], "<stdout>"),
         (["run", "-p", prog("leq.acd"), "-g", LEQ_GOAL, "--trace-out", "/dev/stdout"], "/dev/stdout"),
         (["oracle", "-p", prog("leq.acd"), "-g", LEQ_GOAL], "<stdout>"),
+        (["-h"], "<stdout>"),
+        (["run", "-h"], "<stdout>"),
     ],
-    ids=["run", "trace_out_stdout", "oracle"],
+    ids=["run", "trace_out_stdout", "oracle", "help", "run_help"],
 )
 def test_closed_stdout(argv, target):
     # a pipe whose reader has gone: every write to it fails

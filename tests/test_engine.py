@@ -2,6 +2,7 @@ import random
 
 import pytest
 from conftest import count_calls, load_program, no_cyclic_garbage
+from test_terms import random_term
 
 from acdterm import (
     AApp,
@@ -10,16 +11,20 @@ from acdterm import (
     Var,
     ac_equal,
     annotate,
+    canonical,
     entry_of,
     ids_of,
     initial_state,
     parse_program,
     parse_term,
+    pretty,
     run,
+    search_normal_forms,
     step,
     strip,
     subterms,
     update_history,
+    verify_trace,
 )
 from acdterm import engine, enumerate_transitions, first_divergence, matching
 from acdterm.engine import (
@@ -31,7 +36,7 @@ from acdterm.engine import (
     step_record,
 )
 from acdterm.rules import Program
-from acdterm.terms import annotate_from
+from acdterm.terms import AC_FUNCTORS, ac_key, annotate_from
 
 P = parse_term
 AND = "/\\"
@@ -106,6 +111,67 @@ def test_update_history_accepts_an_annotated_head_view():
     assert plain == h0 | {HistoryEntry("r", (8, 7)), HistoryEntry("r", (11, 10))}
     view = annotate_from(head, 0)[0]
     assert update_history(view, head_inst, body, body_inst, h0) == plain
+
+
+def _shuffled(t, rng):
+    """t with the children of each AC node in a random order."""
+    if not isinstance(t, App):
+        return t
+    args = [_shuffled(a, rng) for a in t.args]
+    if t.functor in AC_FUNCTORS:
+        rng.shuffle(args)
+    return App(t.functor, tuple(args))
+
+
+def test_update_history_pairs_ac_children_by_key():
+    # the second X of f(X, X) lists the AC children of the binding in another
+    # order; every identifier it names must be renamed onto the copy node of
+    # the same AC class
+    rng = random.Random(22)
+    for _ in range(200):
+        t = random_term(rng, depth=4)
+        first = annotate(1, t)
+        second = annotate(ids_of(first), _shuffled(t, rng))
+        head_inst = AApp("f", (first, second), 10_000)
+        body_inst = annotate(10_001, App("g", (t,)))
+        names = {n.id: n for _, n in subterms(second)}
+        h0 = frozenset(HistoryEntry(str(i), (i,)) for i in names)
+        h1 = update_history(P("f(X, X)"), head_inst, P("g(X)"), body_inst, h0)
+        copies = {n.id: n for _, n in subterms(body_inst)}
+        renamed = {e.rule: e.ids[0] for e in h1 - h0}
+        assert set(renamed) == {str(i) for i in names}
+        for i, node in names.items():
+            assert ac_key(copies[renamed[str(i)]]) == ac_key(node), pretty(t)
+
+
+# the second occurrence of X lists its AC children in another order than the
+# binding; the propagation t fired on its b must stay blocked on the body's
+# copy of that b
+RENAMED_OCCURRENCE = """
+t  @ b ==> c.
+mk @ k <=> b /\\ c.
+"""
+
+
+@pytest.mark.parametrize(
+    "rule, goal, expected",
+    [
+        ("r @ f(X, X) <=> g(X).", "f(k + a, a + b)", "g((b /\\ c) + a)"),
+        ("r @ f(X, X) <=> g(X, X).", "f(k + a, a + b)", "g((b /\\ c) + a,(b /\\ c) + a)"),
+        ("r @ X /\\ X <=> g(X).", "h(k + a) /\\ h(a + b)", "g(h((b /\\ c) + a))"),
+    ],
+    ids=["body_one_copy", "body_two_copies", "conjunction"],
+)
+def test_history_follows_an_occurrence_in_another_order(rule, goal, expected):
+    prog = parse_program(rule + RENAMED_OCCURRENCE)
+    res = run(prog, P(goal))
+    assert res.status == NORMAL_FORM
+    final = canonical(strip(res.final.goal))
+    assert pretty(final) == expected
+    assert verify_trace(prog, P(goal), res.trace)
+    found = search_normal_forms(prog, P(goal))
+    assert not found.truncated
+    assert final in found.normal_forms
 
 
 # --- step ------------------------------------------------------------------------------

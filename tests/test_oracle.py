@@ -93,6 +93,27 @@ def test_propagation_fires_once_per_assignment():
     assert canonical(strip(res.final.goal)) in result.normal_forms
 
 
+@pytest.mark.parametrize(
+    "source, goal, expected",
+    [
+        ("p @ f(X) ==> q.", "f(a + b)", "f(a + b) /\\ q"),
+        ("p @ f(X, X) ==> q.", "f(a + b, a + b)", "f(a + b,a + b) /\\ q"),
+        ("p @ f(X, X) ==> q.", "f(a + c + a, c + a + a)", "f(a + a + c,a + a + c) /\\ q"),
+    ],
+    ids=["one_occurrence", "two_occurrences", "equal_children"],
+)
+def test_propagation_fires_once_per_binding(source, goal, expected):
+    # X binds a + b, whose binary views list a and b in either order; only
+    # the goal's order fires, since the other would fire again on the same
+    # nodes with an entry of its own. The second X may list equal children
+    # (the two a's) in either order too; only their goal order fires
+    prog = parse_program(source)
+    result = search_normal_forms(prog, P(goal))
+    assert not result.truncated
+    assert {pretty(t) for t in result.normal_forms} == {expected}
+    assert pretty(canonical(strip(run(prog, P(goal)).final.goal))) == expected
+
+
 def test_rule_views_are_fetched_once_per_call(monkeypatch):
     # one call fetches the views of each rule head (4) and each context
     # conjunct (2) once, not once per head match: 4,680 fetches when every
