@@ -24,22 +24,29 @@ trying every rule at every position against every context element.
 Steps are semi-naive, as CHR's refined semantics wakes only new constraints
 and semi-naive evaluation joins only against the delta: `run` keeps one memo
 of the (rule, node) attempts that fired nothing, with the node object and,
-for a simpagation, the frame its contexts came from. Nodes are immutable, and
-a match over objects of such an attempt is refused again: the guard depends
-only on the bindings, and the history only loses entries naming removed
-nodes. `step` has one attempt loop, which reads a (rule, node) entry once
-and writes it once: at the same node object it skips a simplification or
-propagation, and tries a simpagation only against the contexts that hold a
-new element (or the implicit `true`, if a conjunct can take it); a rebuilt
-node is tried in full.
+for a simpagation, the frame its contexts came from and the node's head
+redexes. Nodes are immutable, and a match over objects of such an attempt is
+refused again: the guard depends only on the bindings, and the history only
+loses entries naming removed nodes. `step` has one attempt loop, which reads
+a (rule, node) entry once and writes it once: at the same node object it
+skips a simplification or propagation, and a simpagation takes the head
+redexes from the entry, which are those `redexes_at` would give again, and
+tries each only against the contexts that hold a new element that a
+conjunct can take: one whose head key a conjunct has, any element for a
+variable conjunct, and the implicit `true` if a conjunct can take it. A
+rebuilt node is tried in full.
 Dropping refused matches keeps the order of the rest, so traces do not
 change. `step` without a memo is the same loop with nothing recorded.
 
 A trace record keeps the annotated goal; the plain goal is made when read.
 
-The history holds only entries whose identifiers are all in the goal: each
-transition drops the others. That changes no transition, since identifiers
-are never reused and the history renaming maps only live identifiers, so an
+The history holds only entries whose identifiers are all in the goal. A
+simplification or simpagation drops the entries that name an identifier of
+the subtrees it removes, and a propagation drops none: the body is annotated
+afresh and the rest of the goal keeps its nodes, so the only other
+identifiers that leave the goal are those of AC nodes merged by flattening,
+which no entry names. Dropping changes no transition, since identifiers are
+never reused and the history renaming maps only live identifiers, so an
 entry naming a removed node can never again equal the entry of a match.
 """
 
@@ -250,8 +257,9 @@ def _successor(
     and records the entry; a selection of a node other than `/\\` becomes a
     node of its own with a fresh identifier. The result replaces the
     selected children of `node`, the goal node at path, or the whole node
-    when `selected` is None. Entries naming an identifier that has left the
-    goal are dropped from the history: no later match can produce them.
+    when `selected` is None. A step that removes nodes drops the entries
+    naming an identifier of the removed subtrees, the selected children or
+    the whole node, from the history: no later match can produce them.
     """
     if not guard_holds(rule.guard, theta):
         return None
@@ -276,9 +284,10 @@ def _successor(
     if selected is not None:
         replacement = _splice(node, selected, replacement)
     goal = replace_at(state.goal, replacement, path)
-    if history:
-        live = ids_of(goal)
-        history = frozenset(e for e in history if live.issuperset(e.ids))
+    if history and rule.kind != PROPAGATION:
+        removed = (node,) if selected is None else [node.args[i - 1] for i in selected]
+        gone = set().union(*map(ids_of, removed))
+        history = frozenset(e for e in history if gone.isdisjoint(e.ids))
     ts = TraceStep(1, rule.name, rule.kind, path, entry.ids if entry else None, goal)
     return EngineState(goal, history, next_id), ts
 
@@ -342,16 +351,19 @@ def step(
     `context_of(path, node, selected)` gives a focus's conjunctive context
     as an index and the mask of its positions there.
 
-    `memo` maps (rule index, node identifier) to (node object, frame index)
-    for each attempt that fired nothing; the frame is the index a
+    `memo` maps (rule index, node identifier) to (node object, frame index,
+    redexes) for each attempt that fired nothing. The frame is the index a
     simpagation's redexes there took their contexts from, a selection's if
     there is one (at a conjunction that is the node's own frame, which holds
-    the whole node's context too), else None. At the node object of its
-    entry a rule without a context head is skipped, and a simpagation
-    matches only the contexts with an element not in that frame. A memo
-    serves one sequence of steps, each from the state the last one
-    returned. None stands for an empty memo; `run` passes one memo to every
-    step.
+    the whole node's context too), else None; the redexes are a
+    simpagation's head redexes there, as tried, and empty for other rules.
+    At the node object of its entry a rule without a context head is
+    skipped, and a simpagation goes through the entry's redexes and matches
+    only the contexts with an element not in that frame that a conjunct can
+    take: of a conjunct's head key, any for a variable conjunct, and the
+    implicit `true`. A memo serves one sequence of steps, each from the
+    state the last one returned. None stands for an empty memo; `run`
+    passes one memo to every step.
     """
     if memo is None:
         memo = {}
@@ -361,33 +373,46 @@ def step(
     for pair in nodes:
         by_head.setdefault(_head(pair[1]), []).append(pair)
     context_of = _focus_contexts(goal)
-    # seen[index, old]: bit j set when element j of index is not in old; the
-    # key keeps both indexes alive for the step
+    # seen[index, old, r]: bit j set when element j of index is not in old
+    # and has a head key that rule r's context can take; the key keeps both
+    # indexes alive for the step
     seen: dict = {}
     for r, rule in enumerate(program.rules):
         head = _head(rule.head)
         cc = rule.cc
+        # the head keys a context conjunct can take; None when a variable
+        # conjunct takes every element
+        keys = {key for _c, key, _v in cc.specs} if cc is not None else ()
+        if None in keys:
+            keys = None
         for path, node in nodes if head is None else by_head.get(head, ()):
             key = r, node.id
             prior = memo.get(key)
-            old = frame = None
+            old = frame = redexes = None
             if prior is not None and prior[0] is node:
                 if cc is None:
                     continue  # refused at this very node, which holds nothing new
-                old = prior[1]
-            for selected, theta, matched in redexes_at(node, rule.head):
+                _node, old, redexes = prior
+            tried = []  # a simpagation's redexes here, as they are tried
+            for redex in redexes_at(node, rule.head) if redexes is None else redexes:
+                selected, theta, matched = redex
                 thetas = (theta,)
                 if cc is not None:
+                    tried.append(redex)
                     index, masked = context_of(path, node, selected)
                     if frame is None or selected is not None:
                         frame = index
                     new = 0
                     if old is not None:
-                        new = seen.get((index, old))
+                        new = seen.get((index, old, r))
                         if new is None:
                             kept = set(map(id, old.elements))
-                            new = seen[index, old] = sum(
-                                1 << j for j, el in enumerate(index.elements) if id(el) not in kept
+                            els = index.elements
+                            takeable = range(len(els)) if keys is None else [
+                                j for k in keys for j in index.by_head.get(k, ())
+                            ]
+                            new = seen[index, old, r] = sum(
+                                1 << j for j in takeable if id(els[j]) not in kept
                             )
                         new &= ~masked
                         if cc.takes_true:
@@ -400,7 +425,7 @@ def step(
                     fired = _successor(rule, state, path, node, selected, rule.head, matched, th)
                     if fired is not None:
                         return fired
-            memo[key] = (node, frame)
+            memo[key] = (node, frame, tried)
     return None
 
 

@@ -16,8 +16,9 @@ import sys
 
 from conftest import count_calls
 
-from acdterm import engine, parse_program, parse_term
+from acdterm import engine, enumerate_transitions, parse_program, parse_term
 from acdterm.engine import initial_state, run, step
+from acdterm.rules import Program
 from acdterm.terms import ids_of, size
 
 _ATOMS = ["p(X)", "p(a)", "q(X)", "q(Y)", "q(b)", "r(X,Y)", "r(X,X)", "r(a,Y)", "g(X)"]
@@ -45,6 +46,8 @@ CHAIN = (
     "f(V0) = f(V9) /\\ f(f(f(V6))) = f(f(f(V3))) /\\ f(f(f(V9))) = f(f(f(V14))) /\\ "
     "f(f(V1)) = f(f(V7)) /\\ V3 = V13 /\\ f(f(V4)) = f(f(V2)) /\\ V14 = V15"
 )
+# a leq cycle of 5 atoms, 39 steps under leq.acd rules 1-4
+LEQ_CYCLE_5 = " /\\ ".join(f"leq(X{i},X{(i + 1) % 5})" for i in range(5))
 
 
 def _random_program(rng):
@@ -68,14 +71,15 @@ def _random_goal(rng):
     return " /\\ ".join(rng.choices(_GOAL_PARTS, k=rng.randrange(1, 6)))
 
 
-def _stepped(program, goal, max_steps, cap):
+def _stepped(program, goal, max_steps, cap, check=None):
     """`run` by iterated memo-less `step`: (final state, trace, status, capped).
 
     Once the goal's size passes cap, or the walk has enumerated more than
     _REDEX_CAP redexes, the walk stops as if max_steps were the number of
     steps taken and counts as capped. So a goal that doubles every step stays
     small, and a head whose variable group ranges over a growing conjunction
-    that its context then refuses stays cheap.
+    that its context then refuses stays cheap. `check(before, after)` is
+    called with the states around every step.
     """
     redexes = [0]
     original = engine.redexes_at
@@ -94,6 +98,8 @@ def _stepped(program, goal, max_steps, cap):
             fired = step(state, program)
             if fired is None:
                 return state, trace, engine.NORMAL_FORM, False
+            if check is not None:
+                check(state, fired[0])
             state, ts = fired
             trace.append(ts._replace(index=k + 1))
             capped = size(state.goal) > cap or redexes[0] > _REDEX_CAP
@@ -213,6 +219,73 @@ def test_memo_skips_contexts_with_nothing_new(monkeypatch, unify_program):
     assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
     assert match_ccs.calls <= 960, match_ccs.calls
     _agrees(unify_program, goal, 100)
+
+
+def test_step_upkeep_follows_what_changed(monkeypatch, leq_program, unify_program):
+    # on the leq cycle: a simpagation's attempt that fired nothing keeps its
+    # head redexes, so at the same node object a later step enumerates none
+    # (97 `redexes_at` calls, against 621 when every attempt enumerated
+    # them); antisymmetry's and idempotence's context `leq(X,Y)` can take no
+    # new `X = Y` or `true` (294 `match_cc` calls, against 571 when any new
+    # element counted); and only a step that removes nodes collects the
+    # history, over its removed subtrees (20 `ids_of` calls, against 42 when
+    # every firing walked the goal). On the chain 458 `redexes_at` calls,
+    # against 1,233
+    searches, match_ccs, walks = (
+        count_calls(monkeypatch, engine, name) for name in ("redexes_at", "match_cc", "ids_of")
+    )
+    result = run(Program(leq_program.rules[:4]), parse_term(LEQ_CYCLE_5))
+    assert (len(result.trace), result.status) == (39, engine.NORMAL_FORM)
+    calls = searches.calls, match_ccs.calls, walks.calls
+    assert calls[0] <= 200 and calls[1] <= 400 and calls[2] <= 25, calls
+    searches.calls = 0
+    result = run(unify_program, parse_term(CHAIN))
+    assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
+    assert searches.calls <= 600, searches.calls
+
+
+def _assert_collected(before, after):
+    """`after` holds only entries whose identifiers are all in its goal, and
+    every entry of `before` whose identifiers all still are."""
+    live = ids_of(after.goal)
+    for e in after.history:
+        assert live.issuperset(e.ids), e
+    for e in before.history:
+        assert e in after.history or not live.issuperset(e.ids), e
+
+
+def test_history_drops_exactly_the_dead_entries(leq_program):
+    # after every step of the 5-cycle, of a removal of two selected children
+    # and of the random programs' walks, and for every oracle successor of
+    # two levels from a goal whose transitivity entries antisymmetry or
+    # idempotence can then cut
+    steps = []
+
+    def check(before, after):
+        _assert_collected(before, after)
+        steps.append(after)
+
+    _stepped(Program(leq_program.rules[:4]), parse_term(LEQ_CYCLE_5), 100, _CAP, check)
+    # rm removes two selected children, and mk's entry names the second
+    two = parse_program("mk @ q(X) ==> m.  rm @ m \\ p(X) /\\ q(X) <=> r.")
+    assert _stepped(two, parse_term("p(a) /\\ q(a) /\\ t"), 10, _CAP, check)[1][-1].rule == "rm"
+    for seed in range(60):
+        rng = random.Random(seed)
+        program = parse_program(_random_program(rng))
+        for _ in range(3):
+            _stepped(program, parse_term(_random_goal(rng)), 25, _CAP, check)
+    assert len(steps) > 1000 and sum(bool(s.history) for s in steps) > 500
+    frontier = [initial_state(parse_term("leq(a,b) /\\ leq(b,a) /\\ leq(b,c)"))]
+    checked = 0
+    for _ in range(2):
+        reached = []
+        for state in frontier:
+            for succ, _ts in enumerate_transitions(state, leq_program):
+                _assert_collected(state, succ)
+                checked += 1
+                reached.append(succ)
+        frontier = reached
+    assert checked > 10 and any(s.history for s in frontier)
 
 
 def test_rules_without_context_search_a_node_object_once(monkeypatch, leq_program):
