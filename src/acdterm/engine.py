@@ -4,9 +4,10 @@ A run starts from the freshly annotated goal with an empty history. Each
 transition applies the textually first rule at the first redex in preorder
 position order (selections and context matches enumerated deterministically),
 so traces are reproducible. Simplification replaces the matched instance with
-the freshly annotated body, propagation conjoins the body with the matched
-instance and records a history entry, simpagation additionally requires its
-context head to match within the conjunctive context of the focus.
+the freshly annotated body, propagation conjoins the body with the goal nodes
+it matched, as they are, and records a history entry, simpagation
+additionally requires its context head to match within the conjunctive
+context of the focus.
 
 A step tables the goal's nodes by head key (`terms._head`) once, and each
 rule visits, in preorder, only the nodes under its head's key (every node for
@@ -43,11 +44,12 @@ A trace record keeps the annotated goal; the plain goal is made when read.
 The history holds only entries whose identifiers are all in the goal. A
 simplification or simpagation drops the entries that name an identifier of
 the subtrees it removes, and a propagation drops none: the body is annotated
-afresh and the rest of the goal keeps its nodes, so the only other
-identifiers that leave the goal are those of AC nodes merged by flattening,
-which no entry names. Dropping changes no transition, since identifiers are
-never reused and the history renaming maps only live identifiers, so an
-entry naming a removed node can never again equal the entry of a match.
+afresh and the goal keeps its nodes, the matched ones included, so the only
+other identifiers that leave the goal are those of AC nodes merged by
+flattening, which no entry names. Dropping changes no transition, since
+identifiers are never reused and the history renaming maps only live
+identifiers, so an entry naming a removed node can never again equal the
+entry of a match.
 """
 
 from __future__ import annotations
@@ -210,14 +212,11 @@ def _occurrences(pattern: Term | ATerm, inst: ATerm) -> Iterator[tuple[str, ATer
 def _flatten_annotated(t: ATerm) -> ATerm:
     """Restore the flattened-AC invariant, keeping surviving identifiers.
 
-    A node other than an AC node comes back as itself when none of its
-    children changed.
+    A body instance keeps its rule's nesting (`_instantiate`), so that the
+    history renaming can align it with the body; the goal may not.
     """
     if isinstance(t, AApp):
-        args = tuple(_flatten_annotated(a) for a in t.args)
-        if t.functor not in AC_FUNCTORS and all(a is b for a, b in zip(args, t.args)):
-            return t
-        return aapp(t.functor, args, t.id)
+        return aapp(t.functor, tuple(_flatten_annotated(a) for a in t.args), t.id)
     return t
 
 
@@ -253,13 +252,16 @@ def _successor(
     which may keep AC nodes nested. None when the guard fails or the history
     already holds a propagation's entry. The body instance is annotated from
     the state's next identifier and the history renamed onto it. A
-    propagation conjoins the matched head instance, flattened, with the body
-    and records the entry; a selection of a node other than `/\\` becomes a
-    node of its own with a fresh identifier. The result replaces the
-    selected children of `node`, the goal node at path, or the whole node
-    when `selected` is None. A step that removes nodes drops the entries
-    naming an identifier of the removed subtrees, the selected children or
-    the whole node, from the history: no later match can produce them.
+    propagation records the entry and conjoins the body with the goal nodes
+    it matched, never with `matched`: `node` itself, or its selected
+    children in goal order, spliced in under `/\\` and under another AC
+    functor made a node of their own with a fresh identifier. So a matched
+    AC node keeps its order, and a later match over the same nodes gives the
+    same entry. The result replaces the selected children of `node`, the
+    goal node at path, or the whole node when `selected` is None. A step
+    that removes nodes drops the entries naming an identifier of the removed
+    subtrees, the selected children or the whole node, from the history: no
+    later match can produce them.
     """
     if not guard_holds(rule.guard, theta):
         return None
@@ -273,20 +275,21 @@ def _successor(
     body, next_id = annotate_from(body_plain, state.next_id)
     history = update_history(head, matched, rule.body, body, state.history)
     replacement = _flatten_annotated(body)
+    # the goal nodes the head matched
+    focus = (node,) if selected is None else tuple(node.args[i - 1] for i in selected)
     if entry is not None:
         history = history | {entry}
-        matched = _flatten_annotated(matched)
+        kept = focus
         if selected is not None and node.functor != AND:
-            matched = AApp(node.functor, matched.args, next_id)
+            kept = (AApp(node.functor, focus, next_id),)
             next_id += 1
-        replacement = aapp(AND, (matched, replacement), next_id)
+        replacement = aapp(AND, (*kept, replacement), next_id)
         next_id += 1
     if selected is not None:
         replacement = _splice(node, selected, replacement)
     goal = replace_at(state.goal, replacement, path)
     if history and rule.kind != PROPAGATION:
-        removed = (node,) if selected is None else [node.args[i - 1] for i in selected]
-        gone = set().union(*map(ids_of, removed))
+        gone = set().union(*map(ids_of, focus))
         history = frozenset(e for e in history if gone.isdisjoint(e.ids))
     ts = TraceStep(1, rule.name, rule.kind, path, entry.ids if entry else None, goal)
     return EngineState(goal, history, next_id), ts

@@ -82,12 +82,7 @@ def _match_args(pattern: App, subject: AApp, i: int, theta: Subst, insts: list):
     # that calls itself is a reference cycle, left for the cyclic collector
     # after every call
     if i == len(pattern.args):
-        # the subject itself when every argument matched its own child, so
-        # that an instance put back into the goal keeps the node's identity
-        if all(a is b for a, b in zip(insts, subject.args)):
-            yield theta, subject
-        else:
-            yield theta, AApp(subject.functor, tuple(insts), subject.id)
+        yield theta, AApp(subject.functor, tuple(insts), subject.id)
         return
     for th2, inst in _match_node(pattern.args[i], subject.args[i], theta):
         yield from _match_args(pattern, subject, i + 1, th2, insts + [inst])

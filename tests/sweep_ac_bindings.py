@@ -4,9 +4,9 @@ propagations bind AC terms and whose heads repeat a variable.
 Each seed draws a program of two to four rules and one goal; a case whose
 goal passes size 14 at any step, or that does not reach a normal form, is
 skipped. The engine's trace must pass `verify_trace`, and its answer must be
-among the normal forms of an untruncated `search_normal_forms`. Two hundred
-cases take about ten seconds, and the referee's cost per case has no bound,
-so the sweep is not part of the test suite. Run it as
+among the normal forms of an untruncated `search_normal_forms`. The referee's
+cost per case has no bound, so the test suite runs only seeds 0-99
+(`test_ac_binding_sweep_agrees_with_the_referee`). Run more as
 `PYTHONPATH=src python3 tests/sweep_ac_bindings.py [cases] [first seed]`;
 it prints one line of counts, and each mismatch's seed on stderr.
 """

@@ -30,7 +30,7 @@ from conftest import load_program
 from acdterm import parse_program, parse_term, run
 from acdterm.engine import step_record
 
-GOLDEN_DIGEST = "04d4f7e30b21ff73d0cc89b523a3d36959b9b06dec4e72d20736f3b495c7078e"
+GOLDEN_DIGEST = "5b5da09c66f12b0cffc26046744820b8f31627cc211685e75c37abfda0664ce0"
 
 NUMBERS = parse_program(
     """
