@@ -12,9 +12,7 @@ from .oracle import (
 from .parser import ParseError, parse_program, parse_term
 from .pretty import pretty
 from .terms import (
-    AApp,
     App,
-    AVar,
     Num,
     PositionError,
     Var,

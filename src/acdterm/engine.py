@@ -70,17 +70,14 @@ from .rules import PROPAGATION, Program, Rule
 from .terms import (
     AC_FUNCTORS,
     AND,
-    AApp,
     App,
-    ATerm,
-    AVar,
     Position,
     Term,
     Var,
     _head,
-    aapp,
     ac_key,
     annotate_from,
+    app,
     conjunctive_context,
     ids_of,
     replace_at,
@@ -101,7 +98,7 @@ class HistoryEntry(NamedTuple):
 
 
 class EngineState(NamedTuple):
-    goal: ATerm
+    goal: Term
     history: frozenset[HistoryEntry]
     next_id: int
 
@@ -112,7 +109,7 @@ class TraceStep(NamedTuple):
     kind: str  # simplify | propagate | simpagate
     path: Position
     entry: tuple[int, ...] | None
-    goal: ATerm  # after the step
+    goal: Term  # after the step
 
     @property
     def goal_after(self) -> Term:
@@ -129,15 +126,15 @@ class RunResult(NamedTuple):
 # --- propagation history -----------------------------------------------------
 
 
-def _entry_ids(t: ATerm) -> tuple[int, ...]:
-    if isinstance(t, AApp):
+def _entry_ids(t: Term) -> tuple[int, ...]:
+    if isinstance(t, App):
         if t.functor in AC_FUNCTORS:
             return tuple(i for a in t.args for i in _entry_ids(a))
         return (t.id,) + tuple(i for a in t.args for i in _entry_ids(a))
     return (t.id,)
 
 
-def entry_of(rule: str, t: ATerm) -> HistoryEntry:
+def entry_of(rule: str, t: Term) -> HistoryEntry:
     """History entry of a rule for a matched annotated instance.
 
     AC operator nodes contribute their children's entries in matched order
@@ -147,9 +144,9 @@ def entry_of(rule: str, t: ATerm) -> HistoryEntry:
     return HistoryEntry(rule, _entry_ids(t))
 
 
-def _zip_ids(a: ATerm, b: ATerm, rho: dict[int, int]) -> None:
+def _zip_ids(a: Term, b: Term, rho: dict[int, int]) -> None:
     rho[a.id] = b.id
-    if isinstance(a, AApp):
+    if isinstance(a, App):
         xs, ys = a.args, b.args
         if a.functor in AC_FUNCTORS:
             # stable: children with equal keys keep their list order
@@ -159,10 +156,10 @@ def _zip_ids(a: ATerm, b: ATerm, rho: dict[int, int]) -> None:
 
 
 def update_history(
-    head: Term | ATerm,
-    head_inst: ATerm,
+    head: Term,
+    head_inst: Term,
     body: Term,
-    body_inst: ATerm,
+    body_inst: Term,
     h0: frozenset[HistoryEntry],
 ) -> frozenset[HistoryEntry]:
     """Minimal history extension for a rule application.
@@ -181,7 +178,7 @@ def update_history(
     """
     if not h0:
         return h0
-    copies: dict[str, list[ATerm]] = {}
+    copies: dict[str, list[Term]] = {}
     for name, copy in _occurrences(body, body_inst):
         copies.setdefault(name, []).append(copy)
     out = set(h0)
@@ -195,13 +192,13 @@ def update_history(
     return frozenset(out)
 
 
-def _occurrences(pattern: Term | ATerm, inst: ATerm) -> Iterator[tuple[str, ATerm]]:
+def _occurrences(pattern: Term, inst: Term) -> Iterator[tuple[str, Term]]:
     """(variable name, instance subtree) for each variable occurrence of a
     pattern, plain or annotated, in preorder, walking the pattern and its
     aligned instance together."""
-    if isinstance(pattern, (Var, AVar)):
+    if isinstance(pattern, Var):
         yield pattern.name, inst
-    elif isinstance(pattern, (App, AApp)):
+    elif isinstance(pattern, App):
         for p, s in zip(pattern.args, inst.args):
             yield from _occurrences(p, s)
 
@@ -209,18 +206,18 @@ def _occurrences(pattern: Term | ATerm, inst: ATerm) -> Iterator[tuple[str, ATer
 # --- rule application --------------------------------------------------------
 
 
-def _flatten_annotated(t: ATerm) -> ATerm:
+def _flatten_annotated(t: Term) -> Term:
     """Restore the flattened-AC invariant, keeping surviving identifiers.
 
     A body instance keeps its rule's nesting (`_instantiate`), so that the
     history renaming can align it with the body; the goal may not.
     """
-    if isinstance(t, AApp):
-        return aapp(t.functor, tuple(_flatten_annotated(a) for a in t.args), t.id)
+    if isinstance(t, App):
+        return app(t.functor, tuple(_flatten_annotated(a) for a in t.args), t.id)
     return t
 
 
-def _splice(node: ATerm, selected: tuple[int, ...], replacement: ATerm) -> ATerm:
+def _splice(node: Term, selected: tuple[int, ...], replacement: Term) -> Term:
     """Swap the selected children of an AC node for the replacement subtree.
 
     The replacement takes the place of the first selected child; the
@@ -232,17 +229,17 @@ def _splice(node: ATerm, selected: tuple[int, ...], replacement: ATerm) -> ATerm
         for i, child in enumerate(node.args, start=1)
         if i == first or i not in selected
     ]
-    return aapp(node.functor, new_children, node.id)
+    return app(node.functor, new_children, node.id)
 
 
 def _successor(
     rule: Rule,
     state: EngineState,
     path: Position,
-    node: ATerm,
+    node: Term,
     selected: tuple[int, ...] | None,
-    head: Term | ATerm,
-    matched: ATerm,
+    head: Term,
+    matched: Term,
     theta: Subst,
 ) -> tuple[EngineState, TraceStep] | None:
     """Fire a rule on one match: the state it leads to, with its trace record.
@@ -281,9 +278,9 @@ def _successor(
         history = history | {entry}
         kept = focus
         if selected is not None and node.functor != AND:
-            kept = (AApp(node.functor, focus, next_id),)
+            kept = (App(node.functor, focus, next_id),)
             next_id += 1
-        replacement = aapp(AND, (*kept, replacement), next_id)
+        replacement = app(AND, (*kept, replacement), next_id)
         next_id += 1
     if selected is not None:
         replacement = _splice(node, selected, replacement)
@@ -300,7 +297,7 @@ def _successor(
 _NO_CONTEXT = ContextIndex(())
 
 
-def _focus_contexts(goal: ATerm):
+def _focus_contexts(goal: Term):
     """`context_of(path, node, selected)`: the conjunctive context of a focus
     of goal (`node` at path, or its selected children) as an index and a
     mask of positions there.
@@ -316,7 +313,7 @@ def _focus_contexts(goal: ATerm):
     # 0 (its children count from 1)
     frames: dict = {}
 
-    def context_of(path: Position, node: ATerm, selected: tuple[int, ...] | None):
+    def context_of(path: Position, node: Term, selected: tuple[int, ...] | None):
         if selected is not None and node.functor == AND:
             q, conj, children = path, node, selected
         else:

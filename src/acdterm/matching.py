@@ -28,10 +28,7 @@ from typing import Iterator
 from .terms import (
     AC_FUNCTORS,
     AND,
-    AApp,
-    ANum,
     App,
-    ATerm,
     Num,
     Term,
     Var,
@@ -43,16 +40,16 @@ from .terms import (
     strip,
 )
 
-Subst = dict[str, ATerm]
+Subst = dict[str, Term]
 
 
-def _group_term(functor: str, members: tuple[ATerm, ...], node_id: int) -> ATerm:
+def _group_term(functor: str, members: tuple[Term, ...], node_id: int) -> Term:
     if len(members) == 1:
         return members[0]
-    return AApp(functor, members, node_id)
+    return App(functor, members, node_id)
 
 
-def _match_node(pattern: Term, subject: ATerm, theta: Subst) -> Iterator[tuple[Subst, ATerm]]:
+def _match_node(pattern: Term, subject: Term, theta: Subst) -> Iterator[tuple[Subst, Term]]:
     """Yield (theta', matched-instance) for pattern against the whole subject."""
     if isinstance(pattern, Var):
         bound = theta.get(pattern.name)
@@ -63,10 +60,10 @@ def _match_node(pattern: Term, subject: ATerm, theta: Subst) -> Iterator[tuple[S
             yield {**theta, pattern.name: subject}, subject
         return
     if isinstance(pattern, Num):
-        if isinstance(subject, ANum) and subject.value == pattern.value:
+        if isinstance(subject, Num) and subject.value == pattern.value:
             yield theta, subject
         return
-    if not isinstance(subject, AApp) or subject.functor != pattern.functor:
+    if not isinstance(subject, App) or subject.functor != pattern.functor:
         return
     if pattern.functor in AC_FUNCTORS:
         for theta2, inst, _left in _match_ac(pattern, subject, theta, full=True):
@@ -77,18 +74,18 @@ def _match_node(pattern: Term, subject: ATerm, theta: Subst) -> Iterator[tuple[S
     yield from _match_args(pattern, subject, 0, theta, [])
 
 
-def _match_args(pattern: App, subject: AApp, i: int, theta: Subst, insts: list):
+def _match_args(pattern: App, subject: App, i: int, theta: Subst, insts: list):
     # The matcher's recursions are module-level functions: a nested function
     # that calls itself is a reference cycle, left for the cyclic collector
     # after every call
     if i == len(pattern.args):
-        yield theta, AApp(subject.functor, tuple(insts), subject.id)
+        yield theta, App(subject.functor, tuple(insts), subject.id)
         return
     for th2, inst in _match_node(pattern.args[i], subject.args[i], theta):
         yield from _match_args(pattern, subject, i + 1, th2, insts + [inst])
 
 
-def _match_ac(pattern: App, subject: AApp, theta: Subst, full: bool):
+def _match_ac(pattern: App, subject: App, theta: Subst, full: bool):
     """Assign subject children to pattern children at a shared AC functor.
 
     Yields (theta', instance, leftover), the leftover a bitmask of the subject
@@ -135,7 +132,7 @@ def _ac_assign(table, i: int, free: int, th: Subst, insts: list):
     m = len(pat_children)
     if i == m:
         if not (full and free):
-            yield th, AApp(subject.functor, tuple(insts), subject.id), free
+            yield th, App(subject.functor, tuple(insts), subject.id), free
         return
     for k in range(i, m):
         if fits[k] is not None and not fits[k] & free:
@@ -172,13 +169,13 @@ def _ac_assign(table, i: int, free: int, th: Subst, insts: list):
                     yield from _ac_assign(table, i + 1, free & ~(1 << j), th2, insts + [inst])
 
 
-def match(pattern: Term, subject: ATerm) -> Iterator[Subst]:
+def match(pattern: Term, subject: Term) -> Iterator[Subst]:
     """All substitutions theta with theta(pattern) AC-equal to the subject."""
     for theta, _inst in _match_node(pattern, subject, {}):
         yield theta
 
 
-def redexes_at(node: ATerm, head: Term) -> Iterator[tuple[tuple[int, ...] | None, Subst, ATerm]]:
+def redexes_at(node: Term, head: Term) -> Iterator[tuple[tuple[int, ...] | None, Subst, Term]]:
     """Redexes anchored at this node, as (selected, theta, matched).
 
     For a match against a submultiset of an AC node's children, `selected`
@@ -190,7 +187,7 @@ def redexes_at(node: ATerm, head: Term) -> Iterator[tuple[tuple[int, ...] | None
     if (
         isinstance(head, App)
         and head.functor in AC_FUNCTORS
-        and isinstance(node, AApp)
+        and isinstance(node, App)
         and node.functor == head.functor
     ):
         for theta, inst, left in _match_ac(head, node, {}, full=False):
@@ -225,7 +222,7 @@ class ContextIndex:
             self.by_head.setdefault(_head(el), []).append(j)
         self._by_arg: dict = {}
 
-    def with_arg(self, key, k: int | None, bound: ATerm) -> list[int]:
+    def with_arg(self, key, k: int | None, bound: Term) -> list[int]:
         """Positions of the elements with head key `key` whose argument k is
         AC-equal to `bound`, or of every element AC-equal to `bound` when k
         is None, ascending."""
@@ -284,20 +281,18 @@ class ContextPattern:
 
 
 def match_cc(
-    cc_pattern, cc, theta0: Subst, masked: int = 0, fresh: int = 0
+    pattern: ContextPattern, index: ContextIndex, theta0: Subst, masked: int = 0, fresh: int = 0
 ) -> Iterator[Subst]:
-    """Extend theta0 so the pattern's conjuncts match distinct cc elements.
+    """Extend theta0 so the pattern's conjuncts match distinct context elements.
 
-    The pattern, a term or its ContextPattern, is split on the top-level
-    conjunction; each conjunct must match one element of the context
-    multiset, which ends in an implicit `true` (tried last, and only by a
-    variable or `true`, the only conjuncts it can match). The unmatched
-    rest, the residual, must stay non-empty, so there are never more
-    conjuncts than cc elements.
+    The pattern is split on the top-level conjunction; each conjunct must
+    match one element of the indexed context multiset, which ends in an
+    implicit `true` (tried last, and only by a variable or `true`, the only
+    conjuncts it can match). The unmatched rest, the residual, must stay
+    non-empty, so there are never more conjuncts than context elements.
 
-    `cc` is a ContextIndex or a sequence of elements, indexed here. The bits
-    of `masked` name positions of the index's elements that are not in the
-    context: no conjunct takes them and the residual does not count them.
+    The bits of `masked` name positions of the index's elements that are not
+    in the context: no conjunct takes them and the residual does not count them.
     So one index over a conjunction's frame serves every focus in it, each
     masking the children it lies under; the implicit `true` is never
     masked. A conjunct tries only the elements with its head key and, when
@@ -310,8 +305,6 @@ def match_cc(
     A nonzero `fresh` names positions of which every match must take at
     least one; the last conjunct tries only them when none is taken yet.
     """
-    pattern = cc_pattern if isinstance(cc_pattern, ContextPattern) else ContextPattern(cc_pattern)
-    index = cc if isinstance(cc, ContextIndex) else ContextIndex(cc)
     if len(pattern.specs) >= len(index.elements) - masked.bit_count():
         return
     yield from _match_conjuncts(index, pattern.specs, 0, masked, dict(theta0), fresh)

@@ -32,17 +32,15 @@ from .rules import PROPAGATION, Program
 from .terms import (
     AC_FUNCTORS,
     AND,
-    AApp,
-    ANum,
     App,
-    ATerm,
-    AVar,
+    Num,
     Term,
+    Var,
     _CONTEXT_END,
     _head,
-    aapp,
     ac_key,
     annotate_from,
+    app,
     canonical,
     conjunctive_context,
     size,
@@ -78,11 +76,11 @@ def _shapes(items: tuple, functor: str, root_id: int) -> list:
     for k in range(1, len(items)):
         for left in _shapes(items[:k], functor, -1):
             for right in _shapes(items[k:], functor, -1):
-                out.append(AApp(functor, (left, right), root_id))
+                out.append(App(functor, (left, right), root_id))
     return out
 
 
-def _arrangements(t: ATerm, cap: int, permute: bool = True) -> list:
+def _arrangements(t: Term, cap: int, permute: bool = True) -> list:
     """All binary AC rearrangements of an annotated term, as annotated terms.
 
     AC nodes are strictly binary; with `permute` False each AC node keeps its
@@ -96,12 +94,12 @@ def _arrangements(t: ATerm, cap: int, permute: bool = True) -> list:
     return _arr(t, cap, permute, [0])
 
 
-def _arr(node: ATerm, cap: int, permute: bool, count: list) -> list:
+def _arr(node: Term, cap: int, permute: bool, count: list) -> list:
     # The oracle's recursions are module-level functions, as the matcher's
     # are: a nested function that calls itself is a reference cycle, left
     # for the cyclic collector after every call. `count` holds one item, the
     # trees built so far.
-    if not isinstance(node, AApp):
+    if not isinstance(node, App):
         return [node]
     f = node.functor
     results = []
@@ -110,7 +108,7 @@ def _arr(node: ATerm, cap: int, permute: bool, count: list) -> list:
             orders = permutations(combo) if permute else (combo,)
             batches = (_shapes(order, f, node.id) for order in orders)
         else:
-            batches = ([AApp(f, combo, node.id) if combo else node],)
+            batches = ([App(f, combo, node.id) if combo else node],)
         for batch in batches:
             count[0] += len(batch)
             if count[0] > cap:
@@ -129,31 +127,31 @@ def _pattern_views(pattern: Term) -> tuple:
     return tuple(_arrangements(annotated, MAX_ARRANGEMENTS, permute=False))
 
 
-def _same_shape(a: ATerm, b: ATerm) -> bool:
+def _same_shape(a: Term, b: Term) -> bool:
     """Whether two annotated terms are the same tree when identifiers are
     ignored (no AC flattening or reordering)."""
     if a is b:
         return True
-    if isinstance(a, AApp):
+    if isinstance(a, App):
         return (
-            isinstance(b, AApp)
+            isinstance(b, App)
             and a.functor == b.functor
             and len(a.args) == len(b.args)
             and all(map(_same_shape, a.args, b.args))
         )
-    if isinstance(a, AVar):
-        return isinstance(b, AVar) and a.name == b.name
-    return isinstance(b, ANum) and a.value == b.value
+    if isinstance(a, Var):
+        return isinstance(b, Var) and a.name == b.name
+    return isinstance(b, Num) and a.value == b.value
 
 
-def _match_b(pattern: ATerm, subject: ATerm, theta):
+def _match_b(pattern: Term, subject: Term, theta):
     """Plain first-order match of two binary views; None on mismatch.
 
     Pattern variables bind binary subtrees; repeated variables must bind
     structurally identical subtrees modulo identifiers. theta is never
     mutated; a new binding returns a new dict.
     """
-    if isinstance(pattern, AVar):
+    if isinstance(pattern, Var):
         name = pattern.name
         bound = theta.get(name)
         if bound is None:
@@ -162,10 +160,10 @@ def _match_b(pattern: ATerm, subject: ATerm, theta):
         # in the order of the view it matched, so every AC-equal view would
         # fire the same propagation once more with its own entry
         return theta if _same_shape(bound, subject) else None
-    if isinstance(pattern, ANum):
-        return theta if isinstance(subject, ANum) and subject.value == pattern.value else None
+    if isinstance(pattern, Num):
+        return theta if isinstance(subject, Num) and subject.value == pattern.value else None
     if (
-        not isinstance(subject, AApp)
+        not isinstance(subject, App)
         or subject.functor != pattern.functor
         or len(subject.args) != len(pattern.args)
     ):
@@ -177,7 +175,7 @@ def _match_b(pattern: ATerm, subject: ATerm, theta):
     return theta
 
 
-def _children_ok(head: App, focus: AApp) -> bool:
+def _children_ok(head: App, focus: App) -> bool:
     """Cheap sound pre-filter for an AC head at a focus with its functor: the
     focus has as many children as the head, or more if a head child is a
     variable, and each non-variable head child's key is among its children's."""
@@ -189,17 +187,17 @@ def _children_ok(head: App, focus: AApp) -> bool:
     return all(k is None or k in keys for k in need)
 
 
-def _in_goal_order(t: ATerm, order: dict[int, int], ties: bool = False) -> bool:
+def _in_goal_order(t: Term, order: dict[int, int], ties: bool = False) -> bool:
     """Whether a binary view lists each AC node's children in goal order;
     with `ties`, only the children of equal `ac_key`.
 
     order maps each goal identifier to its node's index in preorder; the
     view's synthetic nodes are flattened away."""
-    if not isinstance(t, AApp):
+    if not isinstance(t, App):
         return True
     members = t.args
     if t.functor in AC_FUNCTORS:
-        members = aapp(t.functor, members, t.id).args
+        members = app(t.functor, members, t.id).args
         last: dict = {}  # by key, the index of the last child seen
         for m in members:
             k = ac_key(m) if ties else None
@@ -249,9 +247,9 @@ def enumerate_transitions(
 
     # keyed by node identity, since a value key hashes the whole subtree on
     # every lookup; each entry keeps its node alive, so no id is reused
-    arr_cache: dict[int, tuple[ATerm, list]] = {}
+    arr_cache: dict[int, tuple[Term, list]] = {}
 
-    def arrs(t: ATerm) -> list:
+    def arrs(t: Term) -> list:
         hit = arr_cache.get(id(t))
         if hit is None:
             hit = arr_cache[id(t)] = (t, _arrangements(t, MAX_ARRANGEMENTS))
@@ -268,13 +266,13 @@ def enumerate_transitions(
     order = None  # each goal identifier, to its node's index in preorder
 
     for path, node in nodes:
-        foci: list[tuple[ATerm, tuple[int, ...] | None]] = [(node, None)]
-        if isinstance(node, AApp) and node.functor in AC_FUNCTORS:
+        foci: list[tuple[Term, tuple[int, ...] | None]] = [(node, None)]
+        if isinstance(node, App) and node.functor in AC_FUNCTORS:
             idxs = range(1, len(node.args) + 1)
             for k in range(2, len(node.args)):
                 for combo in combinations(idxs, k):
                     members = tuple(node.args[i - 1] for i in combo)
-                    foci.append((AApp(node.functor, members, -1), combo))
+                    foci.append((App(node.functor, members, -1), combo))
         for focus, selected in foci:
             key = _head(focus)
             context = None  # the focus's context, once a simpagation needs it
@@ -290,7 +288,7 @@ def enumerate_transitions(
                         if theta is None:
                             continue
                         if rule.kind == PROPAGATION and any(
-                            isinstance(v, AApp) and v.args for v in theta.values()
+                            isinstance(v, App) and v.args for v in theta.values()
                         ):
                             # one firing per binding: another order of its AC
                             # nodes, or of equal children in a repeated
@@ -336,16 +334,16 @@ def _relabel(state: EngineState) -> EngineState:
     return EngineState(goal, history, len(rho) + 1)
 
 
-def _relabel_walk(t: ATerm, rho: dict[int, int]) -> ATerm:
+def _relabel_walk(t: Term, rho: dict[int, int]) -> Term:
     new = rho.setdefault(t.id, len(rho) + 1)
-    if isinstance(t, AVar):
-        return AVar(t.name, new)
-    if isinstance(t, ANum):
-        return ANum(t.value, new)
+    if isinstance(t, Var):
+        return Var(t.name, new)
+    if isinstance(t, Num):
+        return Num(t.value, new)
     args = t.args
     if t.functor in AC_FUNCTORS:
         args = sorted(args, key=lambda a: (ac_key(a), a.id))
-    return AApp(t.functor, tuple([_relabel_walk(a, rho) for a in args]), new)
+    return App(t.functor, tuple([_relabel_walk(a, rho) for a in args]), new)
 
 
 def search_normal_forms(

@@ -7,14 +7,14 @@ parse_term(pretty(t)) is structurally equal to t.
 from __future__ import annotations
 
 from .parser import _BINOPS, _NONASSOC
-from .terms import AApp, ANum, App, ATerm, AVar, Num, Term, Var
+from .terms import App, Num, Term, Var
 
 _PREFIX_PREC = 600
 _ATOM_PREC = 1000
 
 
 def _prec(t) -> int:
-    if isinstance(t, (App, AApp)) and t.args:
+    if isinstance(t, App) and t.args:
         if t.functor in _BINOPS:
             return _BINOPS[t.functor]
         if t.functor == "~" and len(t.args) == 1:
@@ -22,12 +22,12 @@ def _prec(t) -> int:
     return _ATOM_PREC
 
 
-def pretty(t: Term | ATerm, print_ids: bool = False) -> str:
+def pretty(t: Term, print_ids: bool = False) -> str:
     """Concrete syntax for a term; with print_ids, nodes carry `#id` suffixes."""
     suffix = f"#{t.id}" if print_ids else ""
-    if isinstance(t, (Var, AVar)):
+    if isinstance(t, Var):
         return t.name + suffix
-    if isinstance(t, (Num, ANum)):
+    if isinstance(t, Num):
         return str(t.value) + suffix
     if t.args and t.functor in _BINOPS:
         prec = _BINOPS[t.functor]

@@ -1,10 +1,12 @@
-"""Term representation: plain terms, annotated terms, positions, head keys,
+"""Term representation: terms and their identifiers, positions, head keys,
 AC keys and canonical forms, and conjunctive contexts.
 
 Terms are immutable. Operators in AC_FUNCTORS are kept flattened: an AC node
 never has a direct child with the same functor and always has at least two
-children. Annotated terms mirror plain terms but carry one integer identifier
-per node; identifiers within a goal are pairwise distinct.
+children. Every node has an `id` field. A term is annotated when every node
+has its `id` set, and identifiers within a goal are pairwise distinct;
+patterns, rule bodies and stripped goals leave it None. So a plain node and
+its annotated copy are unequal, their identifiers differing.
 """
 
 from __future__ import annotations
@@ -19,20 +21,27 @@ class PositionError(ValueError):
 @dataclass(frozen=True)
 class Var:
     name: str
+    id: int | None = None
 
 
 @dataclass(frozen=True)
 class Num:
     value: int
+    id: int | None = None
 
 
 @dataclass(frozen=True)
 class App:
     functor: str
     args: tuple["Term", ...] = ()
+    id: int | None = None
 
 
 Term = Var | Num | App
+
+# The old name of an annotated compound, kept only because the benchmark's
+# tracer (bench/tracer.py) imports it; it goes when the tracer uses App.
+AApp = App
 
 AND = "/\\"
 OR = "\\/"
@@ -41,20 +50,22 @@ AC_FUNCTORS = frozenset({AND, OR, "+", "*"})
 TRUE = App("true")
 
 
-def _ac_node(cls, functor: str, args, *extra):
-    """cls(functor, args, *extra), flattening AC operators.
+def app(functor: str, args=(), id: int | None = None) -> Term:
+    """Build a compound term with identifier id, flattening AC operators.
 
-    For an AC functor, children of class cls with the same functor are
-    spliced in and a single-child node collapses to that child.
+    For an AC functor, children with the same functor are spliced in and a
+    single-child node collapses to that child.
     """
+    if not functor:
+        raise ValueError("empty functor")
     args = tuple(args)
     if functor not in AC_FUNCTORS:
-        return cls(functor, args, *extra)
+        return App(functor, args, id)
     flat = []
     stack = list(reversed(args))
     while stack:
         a = stack.pop()
-        if isinstance(a, cls) and a.functor == functor:
+        if isinstance(a, App) and a.functor == functor:
             stack.extend(reversed(a.args))
         else:
             flat.append(a)
@@ -62,68 +73,34 @@ def _ac_node(cls, functor: str, args, *extra):
         raise ValueError(f"AC operator {functor!r} needs at least one operand")
     if len(flat) == 1:
         return flat[0]
-    return cls(functor, tuple(flat), *extra)
-
-
-def app(functor: str, args=()) -> Term:
-    """Build a compound term, flattening AC operators."""
-    if not functor:
-        raise ValueError("empty functor")
-    return _ac_node(App, functor, args)
+    return App(functor, tuple(flat), id)
 
 
 # --- annotated terms -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AVar:
-    name: str
-    id: int
-
-
-@dataclass(frozen=True)
-class ANum:
-    value: int
-    id: int
-
-
-@dataclass(frozen=True)
-class AApp:
-    functor: str
-    args: tuple["ATerm", ...]
-    id: int
-
-
-ATerm = AVar | ANum | AApp
-
-
-def aapp(functor: str, args, id: int) -> ATerm:
-    """Annotated compound with AC flattening (the node id is kept)."""
-    return _ac_node(AApp, functor, args, id)
-
-
-def strip(t: ATerm) -> Term:
+def strip(t: Term) -> Term:
     """Drop identifiers, returning the plain term."""
-    if isinstance(t, AVar):
+    if isinstance(t, Var):
         return Var(t.name)
-    if isinstance(t, ANum):
+    if isinstance(t, Num):
         return Num(t.value)
     return App(t.functor, tuple(strip(a) for a in t.args))
 
 
-def ids_of(t: ATerm) -> frozenset[int]:
+def ids_of(t: Term) -> frozenset[int]:
     """All identifiers occurring in an annotated term."""
     out: set[int] = set()
     stack = [t]
     while stack:
         node = stack.pop()
         out.add(node.id)
-        if isinstance(node, AApp):
+        if isinstance(node, App):
             stack.extend(node.args)
     return frozenset(out)
 
 
-def annotate(used, t: Term) -> ATerm:
+def annotate(used, t: Term) -> Term:
     """Annotate every node of t with a fresh identifier not in `used`.
 
     `used` may be a collection of identifiers or an integer high-water mark;
@@ -133,17 +110,17 @@ def annotate(used, t: Term) -> ATerm:
     return annotate_from(t, start)[0]
 
 
-def annotate_from(t: Term, next_id: int) -> tuple[ATerm, int]:
+def annotate_from(t: Term, next_id: int) -> tuple[Term, int]:
     """Annotate t with identifiers next_id, next_id+1, ... in postorder."""
     if isinstance(t, Var):
-        return AVar(t.name, next_id), next_id + 1
+        return Var(t.name, next_id), next_id + 1
     if isinstance(t, Num):
-        return ANum(t.value, next_id), next_id + 1
+        return Num(t.value, next_id), next_id + 1
     args = []
     for a in t.args:
         aa, next_id = annotate_from(a, next_id)
         args.append(aa)
-    return AApp(t.functor, tuple(args), next_id), next_id + 1
+    return App(t.functor, tuple(args), next_id), next_id + 1
 
 
 # --- positions -------------------------------------------------------------
@@ -152,7 +129,7 @@ Position = tuple[int, ...]
 
 
 def _children(t):
-    if isinstance(t, (App, AApp)):
+    if isinstance(t, App):
         return t.args
     return ()
 
@@ -185,9 +162,7 @@ def replace_at(t, s, p: Position):
     child = replace_at(_child(t, i), s, p[1:])
     new_args = list(t.args)
     new_args[i - 1] = child
-    if isinstance(t, AApp):
-        return aapp(t.functor, new_args, t.id)
-    return app(t.functor, new_args)
+    return app(t.functor, new_args, t.id)
 
 
 def subterms(t) -> list[tuple[Position, object]]:
@@ -211,7 +186,7 @@ def vars_of(t) -> frozenset[str]:
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, (Var, AVar)):
+        if isinstance(node, Var):
             out.add(node.name)
         else:
             stack.extend(_children(node))
@@ -223,7 +198,7 @@ def size(t) -> int:
 
     An n-ary AC node contributes n-1 binary operator symbols.
     """
-    if isinstance(t, (Var, AVar, Num, ANum)):
+    if isinstance(t, (Var, Num)):
         return 1
     n = sum(size(a) for a in t.args)
     if t.functor in AC_FUNCTORS:
@@ -242,9 +217,9 @@ def ac_key(t) -> tuple:
     an AC node are flattened (tolerating non-flattened input) and their keys
     sorted. Two terms are AC-equal iff their keys are equal.
     """
-    if isinstance(t, (Var, AVar)):
+    if isinstance(t, Var):
         return (0, t.name)
-    if isinstance(t, (Num, ANum)):
+    if isinstance(t, Num):
         return (1, t.value)
     f = t.functor
     if f not in AC_FUNCTORS:
@@ -253,7 +228,7 @@ def ac_key(t) -> tuple:
     stack = list(t.args)
     while stack:
         a = stack.pop()
-        if isinstance(a, (App, AApp)) and a.functor == f:
+        if isinstance(a, App) and a.functor == f:
             stack.extend(a.args)
         else:
             keys.append(ac_key(a))
@@ -261,13 +236,13 @@ def ac_key(t) -> tuple:
     return (2, f, len(keys), tuple(keys))
 
 
-def _head(t: Term | ATerm):
+def _head(t: Term):
     """A key on which a non-variable pattern and a subject agree exactly when
     their head symbols fit: a number's value, an AC node's functor, and
     functor and arity for any other node (None for a variable)."""
-    if isinstance(t, (App, AApp)):
+    if isinstance(t, App):
         return t.functor if t.functor in AC_FUNCTORS else (t.functor, len(t.args))
-    if isinstance(t, (Num, ANum)):
+    if isinstance(t, Num):
         return t.value
     return None
 
@@ -294,7 +269,7 @@ def ac_equal(t1, t2) -> bool:
 # --- conjunctive context ---------------------------------------------------
 
 # The implicit `true` that ends every conjunctive context; it is no goal node.
-_CONTEXT_END = AApp("true", (), -1)
+_CONTEXT_END = App("true", (), -1)
 
 
 def conjunctive_context(g, p: Position, selected: tuple[int, ...] | None) -> tuple:

@@ -11,9 +11,7 @@ import random
 import time
 
 from acdterm import (
-    AApp,
     App,
-    AVar,
     Num,
     Var,
     ac_equal,
@@ -96,15 +94,15 @@ def test_criterion_golfers_simplification(golfers_program):
 
 
 def test_criterion_entry_values():
-    a1, b2 = AApp("a", (), 1), AApp("b", (), 2)
-    direct = AApp("f", (AApp(AND, (a1, b2), 3),), 4)
-    commuted = AApp("f", (AApp(AND, (b2, a1), 3),), 4)
-    lq1 = AApp("leq", (AVar("A", 1), AVar("B", 2)), 3)
-    lq2 = AApp("leq", (AVar("B", 5), AVar("A", 6)), 7)
+    a1, b2 = App("a", (), 1), App("b", (), 2)
+    direct = App("f", (App(AND, (a1, b2), 3),), 4)
+    commuted = App("f", (App(AND, (b2, a1), 3),), 4)
+    lq1 = App("leq", (Var("A", 1), Var("B", 2)), 3)
+    lq2 = App("leq", (Var("B", 5), Var("A", 6)), 7)
     ok = (
         entry_of("r", direct).ids == (4, 1, 2)
         and entry_of("r", commuted).ids == (4, 2, 1)
-        and entry_of("trans", AApp(AND, (lq1, lq2), 4)).ids == (3, 1, 2, 7, 5, 6)
+        and entry_of("trans", App(AND, (lq1, lq2), 4)).ids == (3, 1, 2, 7, 5, 6)
     )
     _report("entry values: single-conjunct examples and direct matching", ok)
 
@@ -115,9 +113,9 @@ def test_criterion_entry_value_commuted_variant():
     # entry recursion that produces (4 1 2) and (3 1 2 7 5 6) in the test
     # above, so no single definition can satisfy all four quoted values.
     # Kept faithful rather than weakened; see the decisions ledger.
-    lq1 = AApp("leq", (AVar("A", 1), AVar("B", 2)), 3)
-    lq2 = AApp("leq", (AVar("B", 5), AVar("A", 6)), 7)
-    permuted = entry_of("trans", AApp(AND, (lq2, lq1), 4)).ids
+    lq1 = App("leq", (Var("A", 1), Var("B", 2)), 3)
+    lq2 = App("leq", (Var("B", 5), Var("A", 6)), 7)
+    permuted = entry_of("trans", App(AND, (lq2, lq1), 4)).ids
     ok = permuted == (7, 6, 5, 3, 1, 2)
     print(f"[{'PASS' if ok else 'FAIL'}] entry values: commuted variant pinned value")
     assert ok, (
@@ -156,7 +154,7 @@ def _id_isomorphic(entries_a, entries_b):
 
 def test_criterion_history_update():
     head, body = P("f(X)"), P("g(X,X)")
-    head_inst = AApp("f", (AApp(AND, (AApp("a", (), 1), AApp("b", (), 2)), 3),), 4)
+    head_inst = App("f", (App(AND, (App("a", (), 1), App("b", (), 2)), 3),), 4)
     body_inst = annotate(ids_of(head_inst), P("g(a /\\ b, a /\\ b)"))
     h0 = frozenset({HistoryEntry("r", (1, 2))})
     h1 = update_history(head, head_inst, body, body_inst, h0)
@@ -165,13 +163,13 @@ def test_criterion_history_update():
     )
     ok = h1 == expected or _id_isomorphic(h1, expected)
 
-    lhs = AApp("leq", (AVar("A", 5), AVar("A", 6)), 7)
-    rhs = AApp("leq", (AVar("A", 9), AVar("A", 10)), 11)
+    lhs = App("leq", (Var("A", 5), Var("A", 6)), 7)
+    rhs = App("leq", (Var("A", 9), Var("A", 10)), 11)
     merged = update_history(
         P("X /\\ X"),
-        AApp(AND, (lhs, rhs), 8),
+        App(AND, (lhs, rhs), 8),
         P("X"),
-        AApp("leq", (AVar("A", 16), AVar("A", 17)), 18),
+        App("leq", (Var("A", 16), Var("A", 17)), 18),
         frozenset({HistoryEntry("trans", (3, 1, 2, 7, 5, 6))}),
     )
     ok = ok and merged == frozenset(

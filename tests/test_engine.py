@@ -5,9 +5,7 @@ from conftest import count_calls, load_program, no_cyclic_garbage
 from test_terms import random_term
 
 from acdterm import (
-    AApp,
     App,
-    AVar,
     Var,
     ac_equal,
     annotate,
@@ -46,8 +44,8 @@ AND = "/\\"
 
 
 def example_instance():
-    a1, b2 = AApp("a", (), 1), AApp("b", (), 2)
-    return AApp("f", (AApp(AND, (a1, b2), 3),), 4), AApp("f", (AApp(AND, (b2, a1), 3),), 4)
+    a1, b2 = App("a", (), 1), App("b", (), 2)
+    return App("f", (App(AND, (a1, b2), 3),), 4), App("f", (App(AND, (b2, a1), 3),), 4)
 
 
 def test_entry_skips_ac_nodes_and_orders_by_match():
@@ -57,14 +55,14 @@ def test_entry_skips_ac_nodes_and_orders_by_match():
 
 
 def test_entry_two_conjunct_head():
-    lq1 = AApp("leq", (AVar("A", 1), AVar("B", 2)), 3)
-    lq2 = AApp("leq", (AVar("B", 5), AVar("A", 6)), 7)
-    assert entry_of("trans", AApp(AND, (lq1, lq2), 4)).ids == (3, 1, 2, 7, 5, 6)
-    assert entry_of("trans", AApp(AND, (lq2, lq1), 4)).ids == (7, 5, 6, 3, 1, 2)
+    lq1 = App("leq", (Var("A", 1), Var("B", 2)), 3)
+    lq2 = App("leq", (Var("B", 5), Var("A", 6)), 7)
+    assert entry_of("trans", App(AND, (lq1, lq2), 4)).ids == (3, 1, 2, 7, 5, 6)
+    assert entry_of("trans", App(AND, (lq2, lq1), 4)).ids == (7, 5, 6, 3, 1, 2)
 
 
 def test_entry_leaf():
-    assert entry_of("r", AVar("X", 9)).ids == (9,)
+    assert entry_of("r", Var("X", 9)).ids == (9,)
 
 
 # --- history update ----------------------------------------------------------------
@@ -84,10 +82,10 @@ def test_update_history_duplicates_entries_for_copied_variables():
 def test_update_history_idempotence_renaming():
     # merging two conjuncts copies the surviving ids into matching entries
     head, body = P("X /\\ X"), P("X")
-    lhs = AApp("leq", (AVar("A", 5), AVar("A", 6)), 7)
-    rhs = AApp("leq", (AVar("A", 9), AVar("A", 10)), 11)
-    head_inst = AApp(AND, (lhs, rhs), 8)
-    body_inst = AApp("leq", (AVar("A", 16), AVar("A", 17)), 18)
+    lhs = App("leq", (Var("A", 5), Var("A", 6)), 7)
+    rhs = App("leq", (Var("A", 9), Var("A", 10)), 11)
+    head_inst = App(AND, (lhs, rhs), 8)
+    body_inst = App("leq", (Var("A", 16), Var("A", 17)), 18)
     h0 = frozenset({HistoryEntry("trans", (3, 1, 2, 7, 5, 6))})
     h1 = update_history(head, head_inst, body, body_inst, h0)
     assert h1 == h0 | {HistoryEntry("trans", (3, 1, 2, 18, 16, 17))}
@@ -132,7 +130,7 @@ def test_update_history_pairs_ac_children_by_key():
         t = random_term(rng, depth=4)
         first = annotate(1, t)
         second = annotate(ids_of(first), _shuffled(t, rng))
-        head_inst = AApp("f", (first, second), 10_000)
+        head_inst = App("f", (first, second), 10_000)
         body_inst = annotate(10_001, App("g", (t,)))
         names = {n.id: n for _, n in subterms(second)}
         h0 = frozenset(HistoryEntry(str(i), (i,)) for i in names)
@@ -222,13 +220,13 @@ def test_step_fresh_identifiers(leq_program):
 
 
 def test_splice_selection_at_conjunction():
-    a, b, c, d = (AApp(x, (), i) for i, x in enumerate("abcd", start=1))
-    node = AApp(AND, (a, b, c, d), 5)
-    r = AApp("r", (), 6)
-    assert _splice(node, (2, 4), r) == AApp(AND, (a, r, c), 5)
-    assert _splice(node, (1, 3), r) == AApp(AND, (r, b, d), 5)
-    x, y = AApp("x", (), 7), AApp("y", (), 8)
-    assert _splice(node, (2, 3), AApp(AND, (x, y), 9)) == AApp(AND, (a, x, y, d), 5)
+    a, b, c, d = (App(x, (), i) for i, x in enumerate("abcd", start=1))
+    node = App(AND, (a, b, c, d), 5)
+    r = App("r", (), 6)
+    assert _splice(node, (2, 4), r) == App(AND, (a, r, c), 5)
+    assert _splice(node, (1, 3), r) == App(AND, (r, b, d), 5)
+    x, y = App("x", (), 7), App("y", (), 8)
+    assert _splice(node, (2, 3), App(AND, (x, y), 9)) == App(AND, (a, x, y, d), 5)
 
 
 # --- run -------------------------------------------------------------------------------

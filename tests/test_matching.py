@@ -22,8 +22,15 @@ from acdterm import (
     strip,
     subterms,
 )
-from acdterm.matching import ContextIndex, _group_term, _instantiate, _match_node, redexes_at
-from acdterm.terms import AC_FUNCTORS, AApp, ANum
+from acdterm.matching import (
+    ContextIndex,
+    ContextPattern,
+    _group_term,
+    _instantiate,
+    _match_node,
+    redexes_at,
+)
+from acdterm.terms import AC_FUNCTORS
 
 P = parse_term
 
@@ -203,10 +210,10 @@ def _ref_match_node(pattern, subject, theta):
             yield {**theta, pattern.name: subject}, subject
         return
     if isinstance(pattern, Num):
-        if isinstance(subject, ANum) and subject.value == pattern.value:
+        if isinstance(subject, Num) and subject.value == pattern.value:
             yield theta, subject
         return
-    if not isinstance(subject, AApp) or subject.functor != pattern.functor:
+    if not isinstance(subject, App) or subject.functor != pattern.functor:
         return
     if pattern.functor in AC_FUNCTORS:
         for theta2, inst, _unused in _ref_match_ac(pattern, subject, theta, full=True):
@@ -217,7 +224,7 @@ def _ref_match_node(pattern, subject, theta):
 
     def walk(i, th, insts):
         if i == len(pattern.args):
-            yield th, AApp(subject.functor, tuple(insts), subject.id)
+            yield th, App(subject.functor, tuple(insts), subject.id)
             return
         for th2, inst in _ref_match_node(pattern.args[i], subject.args[i], th):
             yield from walk(i + 1, th2, insts + [inst])
@@ -233,7 +240,7 @@ def _ref_match_ac(pattern, subject, theta, full):
         if i == len(pat_children):
             if full and unused:
                 return
-            yield th, AApp(subject.functor, tuple(insts), subject.id), unused
+            yield th, App(subject.functor, tuple(insts), subject.id), unused
             return
         p = pat_children[i]
         if isinstance(p, Var):
@@ -351,41 +358,46 @@ def test_redexes_at(goal, head, expected):
 # --- match_cc ----------------------------------------------------------------------
 
 
+def _pattern(src: str) -> ContextPattern:
+    return ContextPattern(P(src))
+
+
 def test_match_cc_extends_binding():
-    cc = [A("A = 1")]
-    thetas = [plain(t) for t in match_cc(P("X = V"), cc, {"X": A("A")})]
+    cc = ContextIndex([A("A = 1")])
+    thetas = [plain(t) for t in match_cc(_pattern("X = V"), cc, {"X": A("A")})]
     assert thetas == [{"X": Var("A"), "V": Num(1)}]
 
 
 def test_match_cc_submultiset_with_residual():
-    cc = [A("maxOverlap(G1,G2,0)"), A("maximise(1)")]
-    thetas = [plain(t) for t in match_cc(P("maxOverlap(A,B,C1)"), cc, {})]
+    cc = ContextIndex([A("maxOverlap(G1,G2,0)"), A("maximise(1)")])
+    thetas = [plain(t) for t in match_cc(_pattern("maxOverlap(A,B,C1)"), cc, {})]
     assert thetas == [{"A": Var("G1"), "B": Var("G2"), "C1": Num(0)}]
 
 
 def test_match_cc_empty_context():
-    assert list(match_cc(P("f(X)"), [], {})) == []
+    assert list(match_cc(_pattern("f(X)"), ContextIndex([]), {})) == []
 
 
 def test_match_cc_conjunction_pattern_injective():
-    cc = [A("p(a)"), A("q(b)")]
-    thetas = [plain(t) for t in match_cc(P("p(X) /\\ q(Y)"), cc, {})]
+    cc = ContextIndex([A("p(a)"), A("q(b)")])
+    thetas = [plain(t) for t in match_cc(_pattern("p(X) /\\ q(Y)"), cc, {})]
     assert thetas == [{"X": App("a"), "Y": App("b")}]
-    assert list(match_cc(P("p(X) /\\ p(Y)"), [A("p(a)")], {})) == []
+    assert list(match_cc(_pattern("p(X) /\\ p(Y)"), ContextIndex([A("p(a)")]), {})) == []
 
 
 def test_match_cc_trailing_true():
     # a context ends in an implicit true, which `true` may take while the
     # residual stays non-empty
-    assert list(match_cc(P("true"), [A("b")], {})) == [{}]
-    assert list(match_cc(P("true"), [], {})) == []
+    assert list(match_cc(_pattern("true"), ContextIndex([A("b")]), {})) == [{}]
+    assert list(match_cc(_pattern("true"), ContextIndex([]), {})) == []
     # a variable takes the context's elements first, then the trailing true
-    thetas = [plain(t) for t in match_cc(P("V"), [A("h(b)")], {})]
+    thetas = [plain(t) for t in match_cc(_pattern("V"), ContextIndex([A("h(b)")]), {})]
     assert thetas == [{"V": App("h", (App("b"),))}, {"V": App("true")}]
-    assert list(match_cc(P("V"), [], {})) == []
-    thetas = [plain(t) for t in match_cc(P("b /\\ true"), [A("b"), A("c")], {})]
+    assert list(match_cc(_pattern("V"), ContextIndex([]), {})) == []
+    cc = ContextIndex([A("b"), A("c")])
+    thetas = [plain(t) for t in match_cc(_pattern("b /\\ true"), cc, {})]
     assert thetas == [{}]
-    assert list(match_cc(P("b /\\ true"), [A("b")], {})) == []
+    assert list(match_cc(_pattern("b /\\ true"), ContextIndex([A("b")]), {})) == []
 
 
 def _masked(srcs, *positions):
@@ -395,38 +407,39 @@ def _masked(srcs, *positions):
 
 def test_match_cc_never_binds_a_masked_element():
     index, mask = _masked(["p(a)", "p(b)", "p(c)"], 0, 2)
-    thetas = [plain(t) for t in match_cc(P("p(X)"), index, {}, mask)]
+    thetas = [plain(t) for t in match_cc(_pattern("p(X)"), index, {}, mask)]
     assert thetas == [{"X": App("b")}]
     # a variable conjunct skips the masked elements too, then takes `true`
-    thetas = [plain(t) for t in match_cc(P("V"), index, {}, mask)]
+    thetas = [plain(t) for t in match_cc(_pattern("V"), index, {}, mask)]
     assert thetas == [{"V": P("p(b)")}, {"V": App("true")}]
     # with a bound argument, the argument index skips them as well
-    assert list(match_cc(P("p(X)"), index, {"X": A("a")}, mask)) == []
-    assert [plain(t) for t in match_cc(P("p(X)"), index, {"X": A("a")})] == [{"X": App("a")}]
+    assert list(match_cc(_pattern("p(X)"), index, {"X": A("a")}, mask)) == []
+    thetas = [plain(t) for t in match_cc(_pattern("p(X)"), index, {"X": A("a")})]
+    assert thetas == [{"X": App("a")}]
 
 
 def test_match_cc_residual_counts_unmasked_elements():
     # p(a) masked leaves only the implicit true, which the residual needs
     index, mask = _masked(["p(a)"], 0)
-    assert list(match_cc(P("p(X)"), index, {}, mask)) == []
-    assert list(match_cc(P("V"), index, {}, mask)) == []
-    assert list(match_cc(P("true"), index, {}, mask)) == []
+    assert list(match_cc(_pattern("p(X)"), index, {}, mask)) == []
+    assert list(match_cc(_pattern("V"), index, {}, mask)) == []
+    assert list(match_cc(_pattern("true"), index, {}, mask)) == []
     # two elements, one masked: as the one-element context [p(a)]
     index, mask = _masked(["p(a)", "p(b)"], 1)
-    assert list(match_cc(P("p(X) /\\ V"), index, {}, mask)) == []
-    assert list(match_cc(P("p(X) /\\ V"), [A("p(a)")], {})) == []
-    assert len(list(match_cc(P("p(X) /\\ V"), index, {}))) == 4
+    assert list(match_cc(_pattern("p(X) /\\ V"), index, {}, mask)) == []
+    assert list(match_cc(_pattern("p(X) /\\ V"), ContextIndex([A("p(a)")]), {})) == []
+    assert len(list(match_cc(_pattern("p(X) /\\ V"), index, {}))) == 4
 
 
 def test_match_cc_true_stays_last_and_unmasked():
     index, mask = _masked(["b", "true", "c"], 0)
-    assert index.elements[-1] == AApp("true", (), -1)
-    thetas = [plain(t) for t in match_cc(P("V"), index, {}, mask)]
+    assert index.elements[-1] == App("true", (), -1)
+    thetas = [plain(t) for t in match_cc(_pattern("V"), index, {}, mask)]
     assert thetas == [{"V": App("true")}, {"V": App("c")}, {"V": App("true")}]
     # the context's own `true`, masked, leaves the implicit one
     index, mask = _masked(["true", "c"], 0)
-    assert list(match_cc(P("true"), index, {}, mask)) == [{}]
-    assert list(match_cc(P("true /\\ true"), index, {}, mask)) == []
+    assert list(match_cc(_pattern("true"), index, {}, mask)) == [{}]
+    assert list(match_cc(_pattern("true /\\ true"), index, {}, mask)) == []
 
 
 # --- guards ---------------------------------------------------------------------------

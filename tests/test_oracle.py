@@ -10,7 +10,9 @@ from test_terms import random_term
 
 from acdterm import (
     App,
+    Num,
     OracleSizeError,
+    Var,
     ac_equal,
     annotate,
     canonical,
@@ -36,7 +38,7 @@ from acdterm.engine import (
     _flatten_annotated,
 )
 from acdterm.oracle import MAX_GOAL_SIZE, _arrangements, _match_b, _relabel
-from acdterm.terms import AC_FUNCTORS, AApp, ANum, AVar, ac_key, size
+from acdterm.terms import AC_FUNCTORS, ac_key, size
 
 P = parse_term
 
@@ -299,8 +301,6 @@ def _naive_simplification_results(rules, goal):
 
 
 def _syntactic_match(pattern, subject, binding):
-    from acdterm import Var, Num
-
     if isinstance(pattern, Var):
         if pattern.name in binding:
             return binding if binding[pattern.name] == subject else None
@@ -319,7 +319,7 @@ def _syntactic_match(pattern, subject, binding):
 
 
 def _apply_binding(body, binding):
-    from acdterm import Var, Num, app as mk
+    from acdterm import app as mk
 
     if isinstance(body, Var):
         return binding.get(body.name, body)
@@ -484,7 +484,7 @@ def _nodes(t):
 
 
 def _leaves(t):
-    return sorted(id(n) for n in _nodes(t) if not isinstance(n, AApp) or not n.args)
+    return sorted(id(n) for n in _nodes(t) if not isinstance(n, App) or not n.args)
 
 
 def test_arrangements_are_binary_views_of_the_term():
@@ -500,9 +500,9 @@ def test_arrangements_are_binary_views_of_the_term():
         ids = sorted(n.id for n in _nodes(t))
         for view in _arrangements(t, 10**5):
             nodes = _nodes(view)
-            assert all(isinstance(n, (AVar, ANum, AApp)) for n in nodes)
+            assert all(isinstance(n.id, int) for n in nodes)
             assert all(
-                len(n.args) == 2 for n in nodes if isinstance(n, AApp) and n.functor in AC_FUNCTORS
+                len(n.args) == 2 for n in nodes if isinstance(n, App) and n.functor in AC_FUNCTORS
             )
             assert ac_key(view) == ac_key(t)
             assert _leaves(view) == leaves
@@ -516,10 +516,10 @@ def test_repeated_variable_bindings_compare_as_plain_trees():
     # the two bindings of X in f(X, X) must be the same tree once the
     # identifiers are dropped: no AC reordering or flattening, so `a + b`
     # does not repeat `b + a`
-    pattern = AApp("f", (AVar("X", 1), AVar("X", 2)), 3)
+    pattern = App("f", (Var("X", 1), Var("X", 2)), 3)
 
     def repeats(a, b):
-        subject = AApp("f", (annotate(1, a), annotate(100, b)), 500)
+        subject = App("f", (annotate(1, a), annotate(100, b)), 500)
         return _match_b(pattern, subject, {}) is not None
 
     for a, b, expected in [
@@ -545,20 +545,20 @@ def test_repeated_variable_bindings_compare_as_plain_trees():
 
 
 def _ref_sorted_goal(t):
-    if not isinstance(t, AApp):
+    if not isinstance(t, App):
         return t
     args = tuple(_ref_sorted_goal(a) for a in t.args)
     if t.functor in AC_FUNCTORS:
         args = tuple(sorted(args, key=lambda a: (ac_key(a), a.id)))
-    return AApp(t.functor, args, t.id)
+    return App(t.functor, args, t.id)
 
 
 def _ref_map_ids(t, rho):
-    if isinstance(t, AVar):
-        return AVar(t.name, rho[t.id])
-    if isinstance(t, ANum):
-        return ANum(t.value, rho[t.id])
-    return AApp(t.functor, tuple(_ref_map_ids(a, rho) for a in t.args), rho[t.id])
+    if isinstance(t, Var):
+        return Var(t.name, rho[t.id])
+    if isinstance(t, Num):
+        return Num(t.value, rho[t.id])
+    return App(t.functor, tuple(_ref_map_ids(a, rho) for a in t.args), rho[t.id])
 
 
 def _ref_relabel(state):
@@ -568,7 +568,7 @@ def _ref_relabel(state):
     while stack:
         n = stack.pop()
         order.append(n.id)
-        if isinstance(n, AApp):
+        if isinstance(n, App):
             stack.extend(reversed(n.args))
     rho = {old: i for i, old in enumerate(order, start=1)}
     extra = sorted({i for e in state.history for i in e.ids} - set(rho))

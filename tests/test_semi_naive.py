@@ -19,7 +19,7 @@ from conftest import count_calls
 from acdterm import engine, enumerate_transitions, parse_program, parse_term
 from acdterm.engine import initial_state, run, step
 from acdterm.rules import Program
-from acdterm.terms import ids_of, size
+from acdterm.terms import ids_of, size, subterms
 
 _ATOMS = ["p(X)", "p(a)", "q(X)", "q(Y)", "q(b)", "r(X,Y)", "r(X,X)", "r(a,Y)", "g(X)"]
 _HEADS = _ATOMS + [
@@ -246,7 +246,11 @@ def test_step_upkeep_follows_what_changed(monkeypatch, leq_program, unify_progra
 
 def _assert_collected(before, after):
     """`after` holds only entries whose identifiers are all in its goal, and
-    every entry of `before` whose identifiers all still are."""
+    every entry of `before` whose identifiers all still are. Every node of
+    its goal has an integer identifier of its own."""
+    ids = [node.id for _path, node in subterms(after.goal)]
+    assert all(isinstance(i, int) for i in ids), ids
+    assert len(set(ids)) == len(ids), ids
     live = ids_of(after.goal)
     for e in after.history:
         assert live.issuperset(e.ids), e

@@ -19,12 +19,11 @@ from test_acceptance import _random_goals
 
 from acdterm import engine, parse_program, parse_term
 from acdterm.engine import initial_state, step
-from acdterm.matching import ContextIndex, _match_node, match_cc, redexes_at
+from acdterm.matching import ContextIndex, ContextPattern, _match_node, match_cc, redexes_at
 from acdterm.rules import SIMPAGATION
 from acdterm.terms import (
     AC_FUNCTORS,
     AND,
-    AApp,
     App,
     _CONTEXT_END,
     annotate_from,
@@ -96,19 +95,19 @@ def test_match_cc_keeps_the_reference_order():
         # several patterns against one index, as rules share it within a step
         for _ in range(3):
             pattern = P(" /\\ ".join(rng.choices(_CONJUNCTS, k=rng.randrange(1, 4))))
+            cc = ContextPattern(pattern)
             expected = list(_ref_match_cc(pattern, elements, theta0))
-            assert list(match_cc(pattern, index, theta0)) == expected, (pattern, elements)
-            assert list(match_cc(pattern, elements, theta0)) == expected
+            assert list(match_cc(cc, index, theta0)) == expected, (pattern, elements)
             fresh = fresh_masks.getrandbits(len(elements) + 1)
             in_fresh = list(_ref_match_cc(pattern, elements, theta0, fresh))
-            assert list(match_cc(pattern, index, theta0, 0, fresh)) == in_fresh, (pattern, fresh)
+            assert list(match_cc(cc, index, theta0, 0, fresh)) == in_fresh, (pattern, fresh)
             narrowed += 0 < len(in_fresh) < len(expected)
             checked += 1
             matched += bool(expected)
             mask = masks.getrandbits(len(elements))
             rest = [el for j, el in enumerate(elements) if not mask >> j & 1]
             in_rest = list(_ref_match_cc(pattern, rest, theta0))
-            assert list(match_cc(pattern, index, theta0, mask)) == in_rest, (pattern, rest)
+            assert list(match_cc(cc, index, theta0, mask)) == in_rest, (pattern, rest)
             matched_masked += bool(in_rest) and mask != 0
     assert matched > checked // 10
     assert matched_masked > checked // 20
@@ -237,7 +236,7 @@ def _foci(goal):
     each non-empty proper subset of an AC node's children."""
     for path, node in subterms(goal):
         yield path, node, None
-        if isinstance(node, AApp) and node.functor in AC_FUNCTORS:
+        if isinstance(node, App) and node.functor in AC_FUNCTORS:
             n = len(node.args)
             for k in range(1, n):
                 for selected in itertools.combinations(range(1, n + 1), k):
@@ -262,7 +261,7 @@ def test_frame_minus_mask_is_the_conjunctive_context():
             masked_inner += bool(mask) and len(path) > 1
         # one index per conjunction, and one for the empty context
         conjunctions = sum(
-            isinstance(node, AApp) and node.functor == AND for _path, node in subterms(goal)
+            isinstance(node, App) and node.functor == AND for _path, node in subterms(goal)
         )
         assert len(indexes) <= conjunctions + 1
     assert checked > 2000 and masked_inner > 500

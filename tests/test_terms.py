@@ -3,7 +3,6 @@ import random
 import pytest
 
 from acdterm import (
-    AApp,
     App,
     Num,
     PositionError,
@@ -23,7 +22,7 @@ from acdterm import (
     subterms,
     vars_of,
 )
-from acdterm.terms import AC_FUNCTORS, aapp, ac_key, annotate_from
+from acdterm.terms import AC_FUNCTORS, ac_key, annotate_from
 
 P = parse_term
 
@@ -87,8 +86,8 @@ def test_invalid_terms_and_positions(build, error, message):
 def test_ac_node_with_one_operand_is_that_operand():
     a = App("a")
     assert app("+", (a,)) is a
-    child = AApp("f", (), 1)
-    assert aapp("*", (child,), 2) is child
+    child = App("f", (), 1)
+    assert app("*", (child,), 2) is child
 
 
 def test_replace_at_simple():
