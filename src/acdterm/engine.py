@@ -33,13 +33,14 @@ a (rule, node) entry once and writes it once: at the same node object it
 skips a simplification or propagation, and a simpagation takes the head
 redexes from the entry, which are those `redexes_at` would give again, and
 tries each only against the contexts that hold a new element that a
-conjunct can take: one whose head key a conjunct has, any element for a
-variable conjunct, and the implicit `true` if a conjunct can take it. A
-rebuilt node is tried in full.
+conjunct can take: one whose head key a conjunct has (`ContextPattern.keys`),
+any element for a variable conjunct. The implicit `true` is never in the
+old frame, so it is new wherever a conjunct can take it. A rebuilt node is
+tried in full.
 Dropping refused matches keeps the order of the rest, so traces do not
 change. `step` without a memo is the same loop with nothing recorded.
 
-A trace record keeps the annotated goal; the plain goal is made when read.
+A trace record keeps the annotated goal; rendering it strips it.
 
 The history holds only entries whose identifiers are all in the goal. A
 simplification or simpagation drops the entries that name an identifier of
@@ -110,11 +111,6 @@ class TraceStep(NamedTuple):
     path: Position
     entry: tuple[int, ...] | None
     goal: Term  # after the step
-
-    @property
-    def goal_after(self) -> Term:
-        """The goal after the step, stripped on each read."""
-        return strip(self.goal)
 
 
 class RunResult(NamedTuple):
@@ -360,10 +356,10 @@ def step(
     At the node object of its entry a rule without a context head is
     skipped, and a simpagation goes through the entry's redexes and matches
     only the contexts with an element not in that frame that a conjunct can
-    take: of a conjunct's head key, any for a variable conjunct, and the
-    implicit `true`. A memo serves one sequence of steps, each from the
-    state the last one returned. None stands for an empty memo; `run`
-    passes one memo to every step.
+    take (`cc.keys`, any for a variable conjunct), the implicit `true`
+    never counting as in the frame. A memo serves one sequence of steps,
+    each from the state the last one returned. None stands for an empty
+    memo; `run` passes one memo to every step.
     """
     if memo is None:
         memo = {}
@@ -373,18 +369,13 @@ def step(
     for pair in nodes:
         by_head.setdefault(_head(pair[1]), []).append(pair)
     context_of = _focus_contexts(goal)
-    # seen[index, old, r]: bit j set when element j of index is not in old
-    # and has a head key that rule r's context can take; the key keeps both
+    # seen[index, old, r]: bit j set when element j of index is new against
+    # old and has a head key that rule r's context can take; the key keeps both
     # indexes alive for the step
     seen: dict = {}
     for r, rule in enumerate(program.rules):
         head = _head(rule.head)
         cc = rule.cc
-        # the head keys a context conjunct can take; None when a variable
-        # conjunct takes every element
-        keys = {key for _c, key, _v in cc.specs} if cc is not None else ()
-        if None in keys:
-            keys = None
         for path, node in nodes if head is None else by_head.get(head, ()):
             key = r, node.id
             prior = memo.get(key)
@@ -406,18 +397,16 @@ def step(
                     if old is not None:
                         new = seen.get((index, old, r))
                         if new is None:
-                            kept = set(map(id, old.elements))
+                            # the implicit `true` is never kept: it counts as new
+                            kept = set(map(id, old.elements[:-1]))
                             els = index.elements
-                            takeable = range(len(els)) if keys is None else [
-                                j for k in keys for j in index.by_head.get(k, ())
+                            takeable = range(len(els)) if cc.keys is None else [
+                                j for k in cc.keys for j in index.by_head.get(k, ())
                             ]
                             new = seen[index, old, r] = sum(
                                 1 << j for j in takeable if id(els[j]) not in kept
                             )
                         new &= ~masked
-                        if cc.takes_true:
-                            # the implicit `true`, last, counts as new
-                            new |= 1 << (len(index.elements) - 1)
                         if not new:
                             continue
                     thetas = match_cc(cc, index, theta, masked, new)
@@ -460,7 +449,7 @@ def run(program: Program, goal: Term, max_steps: int = DEFAULT_MAX_STEPS) -> Run
 
 def format_step(ts: TraceStep) -> str:
     path = "[" + ",".join(str(i) for i in ts.path) + "]"
-    return f"#{ts.index} {ts.kind} {ts.rule} @ {path} : {pretty(ts.goal_after)}"
+    return f"#{ts.index} {ts.kind} {ts.rule} @ {path} : {pretty(strip(ts.goal))}"
 
 
 def step_record(ts: TraceStep) -> dict:
@@ -471,5 +460,5 @@ def step_record(ts: TraceStep) -> dict:
         "rule": ts.rule,
         "path": list(ts.path),
         "ids": list(ts.entry) if ts.entry else [],
-        "goal": pretty(ts.goal_after),
+        "goal": pretty(strip(ts.goal)),
     }

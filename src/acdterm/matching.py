@@ -198,10 +198,6 @@ def redexes_at(node: Term, head: Term) -> Iterator[tuple[tuple[int, ...] | None,
         yield None, theta, inst
 
 
-# the head key of the implicit `true` that ends every context
-_END_KEY = _head(_CONTEXT_END)
-
-
 class ContextIndex:
     """A conjunctive context, or a conjunction's frame, indexed for `match_cc`.
 
@@ -253,12 +249,13 @@ class ContextPattern:
     `specs` holds, for each conjunct of the top-level conjunction, the
     conjunct, its `_head` key and the (argument position, name) of its
     variable arguments, or (None, name) for a variable conjunct; an AC
-    conjunct's arguments have no fixed position to index. `takes_true`
-    tells whether a conjunct is a variable or `true`, the only ones that
-    can take the implicit `true`.
+    conjunct's arguments have no fixed position to index. `keys` is the set
+    of the conjuncts' head keys, the elements they can take (the implicit
+    `true` among them when a conjunct is `true`), or None when a variable
+    conjunct takes every element.
     """
 
-    __slots__ = ("specs", "takes_true")
+    __slots__ = ("specs", "keys")
 
     def __init__(self, cc_pattern: Term):
         if isinstance(cc_pattern, App) and cc_pattern.functor == AND:
@@ -277,7 +274,8 @@ class ContextPattern:
             )
             for c in conjuncts
         )
-        self.takes_true = any(key is None or key == _END_KEY for _c, key, _v in self.specs)
+        keys = frozenset(key for _c, key, _v in self.specs)
+        self.keys = None if None in keys else keys
 
 
 def match_cc(

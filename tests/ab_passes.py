@@ -19,11 +19,11 @@ the `format_step` text of every step, or on oracle_check each goal's steps,
 verdict, explored states, truncation and printed normal forms. Then each of
 ROUNDS rounds (default 20) times one whole pass of each tree, and the tree
 that goes first alternates. The script prints the median of the change's
-time over the parent's time and the quartiles of that ratio. Both trees
-share one process, its heap and the machine's state at that moment.
-Separate benchmark processes on a shared VM can drift apart by up to a
-factor of two, so this script can separate smaller ratios than paired
-`bench/run.py` runs.
+time over the parent's time, the quartiles of that ratio and the number of
+rounds in which the change was faster. Both trees share one process, its
+heap and the machine's state at that moment. Separate benchmark processes
+on a shared VM can drift apart by up to a factor of two, so this script
+can separate smaller ratios than paired `bench/run.py` runs.
 """
 
 import importlib
@@ -121,9 +121,11 @@ def main(parent_src: str, change_src: str, workload: str, rounds: int) -> None:
             times[side] = perf_counter() - t0
         ratios.append(times[change] / times[parent])
     q1, median, q3 = statistics.quantiles(ratios, n=4)
+    faster = sum(ratio < 1 for ratio in ratios)
     print(
         f"{workload}: {len(goals)} goals, {len(records)} records a pass, {rounds} rounds; "
-        f"change/parent time {median:.3f} (quartiles {q1:.3f}-{q3:.3f})"
+        f"change/parent time {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+        f"change faster in {faster} of {rounds}"
     )
 
 

@@ -30,7 +30,7 @@ from acdterm.matching import (
     _match_node,
     redexes_at,
 )
-from acdterm.terms import AC_FUNCTORS
+from acdterm.terms import AC_FUNCTORS, _head
 
 P = parse_term
 
@@ -129,7 +129,7 @@ def test_match_completeness_against_rearrangement_oracle():
     # pre-filter (keys differ, or `_children_ok` fails) refuses a pair, both
     # matchers must find nothing there
     from acdterm.oracle import _arrangements, _children_ok, _match_b, _pattern_views
-    from acdterm.terms import _head, annotate_from
+    from acdterm.terms import annotate_from
 
     rng = random.Random(37)
     patterns = [
@@ -398,6 +398,17 @@ def test_match_cc_trailing_true():
     thetas = [plain(t) for t in match_cc(_pattern("b /\\ true"), cc, {})]
     assert thetas == [{}]
     assert list(match_cc(_pattern("b /\\ true"), ContextIndex([A("b")]), {})) == []
+
+
+def test_context_pattern_keys():
+    # the head keys of the elements the conjuncts can take, or None when a
+    # variable conjunct takes every element
+    assert _pattern("leq(X,Y)").keys == {("leq", 2)}
+    (end,) = ContextIndex([]).elements
+    assert _pattern("true").keys == {("true", 0)} == {_head(end)}
+    assert _pattern("p(a) /\\ (a + b)").keys == {("p", 1), "+"}
+    assert _pattern("X /\\ p(a)").keys is None
+    assert _pattern("p(a) /\\ X").keys is None
 
 
 def _masked(srcs, *positions):

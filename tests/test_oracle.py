@@ -53,7 +53,7 @@ def test_enumerate_example_initial_successor_is_unique(one_subst_program):
     assert len(succs) == 1
     _, ts = succs[0]
     assert ts.rule == "one_def"
-    assert ac_equal(ts.goal_after, P("not_one(A) /\\ (A = 1)"))
+    assert ac_equal(ts.goal, P("not_one(A) /\\ (A = 1)"))
 
 
 def test_enumerate_includes_first_propagation(leq_program):
@@ -61,7 +61,7 @@ def test_enumerate_includes_first_propagation(leq_program):
     succs = enumerate_transitions(state, leq_program)
     target = canonical(P("leq(X,Y) /\\ leq(Y,Z) /\\ leq(X,Z) /\\ ~leq(X,Z)"))
     assert any(
-        ts.rule == "transitivity" and canonical(ts.goal_after) == target
+        ts.rule == "transitivity" and canonical(ts.goal) == target
         for _, ts in succs
     )
 
@@ -345,7 +345,7 @@ def test_meta_oracle_agreement():
     for goal in goals:
         naive = _naive_simplification_results(rules, goal)
         succs = enumerate_transitions(initial_state(goal), prog)
-        mine = {canonical(ts.goal_after) for _, ts in succs}
+        mine = {canonical(ts.goal) for _, ts in succs}
         assert mine == naive, pretty(goal)
 
 

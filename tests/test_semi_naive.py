@@ -162,7 +162,7 @@ def test_implicit_true_counts_as_new():
     _agrees(program, goal, 10)
     trace = run(program, goal, max_steps=2).trace
     assert [ts.rule for ts in trace] == ["r1", "r0"]
-    assert engine.pretty(trace[-1].goal_after) == "t1 /\\ g(q(t1)) /\\ t2"
+    assert engine.pretty(trace[-1].goal) == "t1 /\\ g(q(t1)) /\\ t2"
 
 
 def test_rebuilt_ac_node_is_tried_again():
@@ -195,7 +195,7 @@ def test_one_node_draws_on_two_frames():
         _agrees(program, goal, 10)
         trace = run(program, goal).trace
         assert [ts.rule for ts in trace] == ["r1", "r0"]
-        assert engine.pretty(trace[-1].goal_after) == after
+        assert engine.pretty(trace[-1].goal) == after
 
 
 def test_memo_skips_refused_guards(monkeypatch, unify_program):
