@@ -5,9 +5,9 @@ transition applies the textually first rule at the first redex in preorder
 position order (selections and context matches enumerated deterministically),
 so traces are reproducible. Simplification replaces the matched instance with
 the freshly annotated body, propagation conjoins the body with the goal nodes
-it matched, as they are, and records a history entry, simpagation
-additionally requires its context head to match within the conjunctive
-context of the focus.
+it matched, as they are (first in the conjunction whose children it
+matched), and records a history entry, simpagation additionally requires its
+context head to match within the conjunctive context of the focus.
 
 A step tables the goal's nodes by head key (`terms._head`) once, and each
 rule visits, in preorder, only the nodes under its head's key (every node for
@@ -26,19 +26,22 @@ Steps are semi-naive, as CHR's refined semantics wakes only new constraints
 and semi-naive evaluation joins only against the delta: `run` keeps one memo
 of the (rule, node) attempts that fired nothing, with the node object and,
 for a simpagation, the frame its contexts came from and the node's head
-redexes. Nodes are immutable, and a match over objects of such an attempt is
-refused again: the guard depends only on the bindings, and the history only
-loses entries naming removed nodes. `step` has one attempt loop, which reads
+redexes, and of the attempts of a propagation with an AC head that fired,
+with the assignment that fired. Nodes are immutable, and a match over objects
+of such an attempt that it refused is refused again: the guard depends only
+on the bindings, and the history only loses entries naming removed nodes; a
+match that fired is in the history. `step` has one attempt loop, which reads
 a (rule, node) entry once and writes it once: at the same node object it
-skips a simplification or propagation, and a simpagation takes the head
-redexes from the entry, which are those `redexes_at` would give again, and
-tries each only against the contexts that hold a new element that a
-conjunct can take: one whose head key a conjunct has (`ContextPattern.keys`),
-any element for a variable conjunct. The implicit `true` is never in the
-old frame, so it is new wherever a conjunct can take it. A rebuilt node is
-tried in full.
-Dropping refused matches keeps the order of the rest, so traces do not
-change. `step` without a memo is the same loop with nothing recorded.
+skips a simplification or propagation that fired nothing, and a simpagation
+takes the head redexes from the entry, which are those `redexes_at` would
+give again, and tries each only against the contexts that hold a new element
+a conjunct can take: one whose head key a conjunct has (`ContextPattern.keys`),
+any element for a variable conjunct. The implicit `true` is never in the old
+frame, so it is new wherever a conjunct can take it. Elsewhere a propagation
+with an AC head resumes past the matches over the entry's children that come
+no later than the one that fired (`matching`); any other rule tries a rebuilt
+node in full. Dropping refused matches keeps the order of the rest, so traces
+do not change. `step` without a memo is the same loop with nothing recorded.
 
 A trace record keeps the annotated goal; rendering it strips it.
 
@@ -65,6 +68,7 @@ from .matching import (
     guard_holds,
     match_cc,
     redexes_at,
+    stop_of,
 )
 from .pretty import pretty
 from .rules import PROPAGATION, Program, Rule
@@ -177,15 +181,23 @@ def update_history(
     copies: dict[str, list[Term]] = {}
     for name, copy in _occurrences(body, body_inst):
         copies.setdefault(name, []).append(copy)
-    out = set(h0)
+    renamings: list[dict[int, int]] = []
     for name, inst in _occurrences(head, head_inst):
         for copy in copies.get(name, ()):
-            rho: dict[int, int] = {}
-            _zip_ids(inst, copy, rho)
-            for e in h0:
-                if not rho.keys().isdisjoint(e.ids):
-                    out.add(HistoryEntry(e.rule, tuple(rho.get(i, i) for i in e.ids)))
-    return frozenset(out)
+            renamings.append({})
+            _zip_ids(inst, copy, renamings[-1])
+    if not renamings:
+        return h0
+    # one pass over the history: an entry that names a renamed identifier
+    # is renamed by each renaming that touches it
+    touched = set().union(*renamings)
+    return h0.union(
+        HistoryEntry(e.rule, tuple(rho.get(i, i) for i in e.ids))
+        for e in h0
+        if not touched.isdisjoint(e.ids)
+        for rho in renamings
+        if not rho.keys().isdisjoint(e.ids)
+    )
 
 
 def _occurrences(pattern: Term, inst: Term) -> Iterator[tuple[str, Term]]:
@@ -246,15 +258,16 @@ def _successor(
     already holds a propagation's entry. The body instance is annotated from
     the state's next identifier and the history renamed onto it. A
     propagation records the entry and conjoins the body with the goal nodes
-    it matched, never with `matched`: `node` itself, or its selected
-    children in goal order, spliced in under `/\\` and under another AC
-    functor made a node of their own with a fresh identifier. So a matched
-    AC node keeps its order, and a later match over the same nodes gives the
-    same entry. The result replaces the selected children of `node`, the
-    goal node at path, or the whole node when `selected` is None. A step
-    that removes nodes drops the entries naming an identifier of the removed
-    subtrees, the selected children or the whole node, from the history: no
-    later match can produce them.
+    it matched, never with `matched`: the body goes first in `node` when
+    that is a `/\\` whose children it selected; else a fresh `/\\` joins it
+    with `node` or with the selected children as a fresh node. So matched
+    nodes keep their order, a later match over them gives the same entry,
+    and a rebuilt conjunction keeps its old children in order. The result
+    replaces the selected children of `node`, the goal node at path, or the
+    whole node when `selected` is None. A step that removes nodes drops the
+    entries naming an identifier of the removed subtrees, the selected
+    children or the whole node, from the history: no later match can
+    produce them.
     """
     if not guard_holds(rule.guard, theta):
         return None
@@ -272,12 +285,16 @@ def _successor(
     focus = (node,) if selected is None else tuple(node.args[i - 1] for i in selected)
     if entry is not None:
         history = history | {entry}
-        kept = focus
-        if selected is not None and node.functor != AND:
-            kept = (App(node.functor, focus, next_id),)
+        if selected is not None and node.functor == AND:
+            # the body goes first; the matched children stay where they are
+            replacement, selected = app(AND, (replacement, *node.args), node.id), None
+        else:
+            kept = focus
+            if selected is not None:
+                kept = (App(node.functor, focus, next_id),)
+                next_id += 1
+            replacement = app(AND, (*kept, replacement), next_id)
             next_id += 1
-        replacement = app(AND, (*kept, replacement), next_id)
-        next_id += 1
     if selected is not None:
         replacement = _splice(node, selected, replacement)
     goal = replace_at(state.goal, replacement, path)
@@ -347,19 +364,22 @@ def step(
     `context_of(path, node, selected)` gives a focus's conjunctive context
     as an index and the mask of its positions there.
 
-    `memo` maps (rule index, node identifier) to (node object, frame index,
-    redexes) for each attempt that fired nothing. The frame is the index a
-    simpagation's redexes there took their contexts from, a selection's if
-    there is one (at a conjunction that is the node's own frame, which holds
-    the whole node's context too), else None; the redexes are a
-    simpagation's head redexes there, as tried, and empty for other rules.
-    At the node object of its entry a rule without a context head is
-    skipped, and a simpagation goes through the entry's redexes and matches
-    only the contexts with an element not in that frame that a conjunct can
-    take (`cc.keys`, any for a variable conjunct), the implicit `true`
-    never counting as in the frame. A memo serves one sequence of steps,
-    each from the state the last one returned. None stands for an empty
-    memo; `run` passes one memo to every step.
+    `memo` maps (rule index, node identifier) to an entry for the last
+    attempt there that fired nothing or, for a propagation with an AC head,
+    fired: (node object, frame index, redexes) for a simpagation, (node
+    object, stop) for any other rule. The frame is the index a simpagation's
+    redexes there took their contexts from, a selection's if there is one
+    (at a conjunction that is the node's own frame, which holds the whole
+    node's context too), else None; the redexes are its head redexes there,
+    as tried. stop is the assignment that fired (`matching.stop_of`), or
+    None. At the node object of its entry a rule without a context head is
+    skipped when stop is None, and a simpagation goes through the entry's
+    redexes and matches only the contexts with an element not in that frame
+    that a conjunct can take (`cc.keys`, any for a variable conjunct), the
+    implicit `true` never counting as in the frame. A propagation with an AC
+    head resumes past any other entry (`redexes_at`). A memo serves one
+    sequence of steps, each from the state the last one returned. None
+    stands for an empty memo; `run` passes one memo to every step.
     """
     if memo is None:
         memo = {}
@@ -376,16 +396,19 @@ def step(
     for r, rule in enumerate(program.rules):
         head = _head(rule.head)
         cc = rule.cc
+        resumes = rule.kind == PROPAGATION and head in AC_FUNCTORS
         for path, node in nodes if head is None else by_head.get(head, ()):
             key = r, node.id
             prior = memo.get(key)
             old = frame = redexes = None
             if prior is not None and prior[0] is node:
-                if cc is None:
+                if cc is not None:
+                    _node, old, redexes = prior
+                elif prior[1] is None:
                     continue  # refused at this very node, which holds nothing new
-                _node, old, redexes = prior
+            resume = prior if resumes else None
             tried = []  # a simpagation's redexes here, as they are tried
-            for redex in redexes_at(node, rule.head) if redexes is None else redexes:
+            for redex in redexes_at(node, rule.head, resume) if redexes is None else redexes:
                 selected, theta, matched = redex
                 thetas = (theta,)
                 if cc is not None:
@@ -413,8 +436,10 @@ def step(
                 for th in thetas:
                     fired = _successor(rule, state, path, node, selected, rule.head, matched, th)
                     if fired is not None:
+                        if resumes:
+                            memo[key] = (node, stop_of(node, matched))
                         return fired
-            memo[key] = (node, frame, tried)
+            memo[key] = (node, None) if cc is None else (node, frame, tried)
     return None
 
 

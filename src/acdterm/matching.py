@@ -16,6 +16,16 @@ left among the unused children, and before it enumerates the groups of a
 variable it checks that the later non-variable pattern children can still
 take distinct unused children under the bindings so far. Group sizes are
 bounded by the number of pattern children still to be served.
+
+A rebuilt AC node resumes where an enumeration at its identifier stopped, as
+LEAPS resumes each rule (Miranker et al., AAAI 1990). Given the earlier node
+object, whose children are old by identity, and `stop`, the assignment that
+fired there (`stop_of`) or None, `_ac_assign` skips the assignments over old
+children only that come no later, all tried there, as old children keep their
+order. It carries one flag: free after a new child or past `stop`; below while
+before `stop` on old children only, so a later pattern child must take a new
+one; tight while equal to `stop`, up to a pattern child with an AC node inside,
+whose inner matches `stop` does not order.
 """
 
 from __future__ import annotations
@@ -38,9 +48,11 @@ from .terms import (
     ac_key,
     size,
     strip,
+    subterms,
 )
 
 Subst = dict[str, Term]
+Redex = tuple[tuple[int, ...] | None, Subst, Term]
 
 
 def _group_term(functor: str, members: tuple[Term, ...], node_id: int) -> Term:
@@ -85,7 +97,7 @@ def _match_args(pattern: App, subject: App, i: int, theta: Subst, insts: list):
         yield from _match_args(pattern, subject, i + 1, th2, insts + [inst])
 
 
-def _match_ac(pattern: App, subject: App, theta: Subst, full: bool):
+def _match_ac(pattern: App, subject: App, theta: Subst, full: bool, resume=None):
     """Assign subject children to pattern children at a shared AC functor.
 
     Yields (theta', instance, leftover), the leftover a bitmask of the subject
@@ -93,7 +105,7 @@ def _match_ac(pattern: App, subject: App, theta: Subst, full: bool):
     subject child must be consumed (plain matching), so the leftover is 0;
     otherwise the leftover children form the redex residual. Branches are
     cut only when they provably yield nothing, so the enumeration order is
-    that of the unpruned search.
+    that of the unpruned search, less what a resume point skips.
     """
     pat_children = pattern.args
     sub_children = subject.args
@@ -105,17 +117,28 @@ def _match_ac(pattern: App, subject: App, theta: Subst, full: bool):
         key = _head(s)
         by_head[key] = by_head.get(key, 0) | 1 << j
     fits = [None if key is None else by_head.get(key, 0) for key in map(_head, pat_children)]
-    table = (pat_children, sub_children, fits, subject, full)
-    yield from _ac_assign(table, 0, (1 << n) - 1, theta, [])
+    if 0 in fits:
+        return
+    flag = _FREE
+    if resume is not None:
+        old, stop = resume
+        at = {id(c): k for k, c in enumerate(old.args)}
+        olds = [at.get(id(s)) for s in sub_children]
+        new = sum(1 << j for j, k in enumerate(olds) if k is None)
+        branches = [any(_head(s) in AC_FUNCTORS for _q, s in subterms(p)) for p in pat_children]
+        resume = (olds, new, stop, branches)
+        flag = _BELOW if stop is None else _TIGHT
+    table = (pat_children, sub_children, fits, subject, full, resume)
+    yield from _ac_assign(table, 0, (1 << n) - 1, theta, [], flag)
 
 
 def _ac_feasible(table, ks: tuple[int, ...], free: int, th: Subst) -> bool:
     """Whether pattern children ks can take distinct subject children in
     `free` under th; `table` is `_match_ac`'s (pattern children, subject
-    children, fits, subject, full)."""
+    children, fits, subject, full, resume)."""
     if not ks:
         return True
-    pat_children, sub_children, fits, _subject, _full = table
+    pat_children, sub_children, fits, _subject, _full, _resume = table
     p = pat_children[ks[0]]
     candidates = fits[ks[0]] & free
     for j in range(len(sub_children)):
@@ -126,17 +149,37 @@ def _ac_feasible(table, ks: tuple[int, ...], free: int, th: Subst) -> bool:
     return False
 
 
-def _ac_assign(table, i: int, free: int, th: Subst, insts: list):
-    # `free` is the bitmask of the subject children not yet taken
-    pat_children, sub_children, fits, subject, full = table
+# Where an assignment stands against a resume point's stop (module docstring)
+_FREE, _BELOW, _TIGHT = range(3)
+
+
+def _after(resume, i: int, chosen, flag: int) -> int:
+    """The flag, not free so far, once pattern child i has taken the subject
+    children `chosen`, ascending."""
+    olds, _new, stop, branches = resume
+    got = tuple(olds[j] for j in chosen)
+    if None in got:
+        return _FREE
+    if flag == _BELOW or (len(got), got) < (len(stop[i]), stop[i]):
+        return _BELOW
+    return _TIGHT if got == stop[i] and not branches[i] else _FREE
+
+
+def _ac_assign(table, i: int, free: int, th: Subst, insts: list, flag: int):
+    # `free` is the bitmask of the subject children not yet taken, `flag`
+    # where the assignment so far stands against the resume point
+    pat_children, sub_children, fits, subject, full, resume = table
     m = len(pat_children)
     if i == m:
-        if not (full and free):
+        if not (flag or full and free):
             yield th, App(subject.functor, tuple(insts), subject.id), free
         return
     for k in range(i, m):
         if fits[k] is not None and not fits[k] & free:
             return
+    below = flag == _BELOW
+    if below and not free & resume[1]:
+        return
     p = pat_children[i]
     fit = fits[i]
     if fit is None:
@@ -160,13 +203,17 @@ def _ac_assign(table, i: int, free: int, th: Subst, insts: list):
                 else:
                     th2 = {**th, p.name: inst}
                 taken = sum(1 << j for j in combo)
-                yield from _ac_assign(table, i + 1, free - taken, th2, insts + [inst])
+                flag2 = _after(resume, i, combo, flag) if flag else flag
+                yield from _ac_assign(table, i + 1, free - taken, th2, insts + [inst], flag2)
     else:
         candidates = fit & free
+        if below and i == m - 1:
+            candidates &= resume[1]
         for j in range(len(sub_children)):
             if candidates >> j & 1:
+                flag2 = _after(resume, i, (j,), flag) if flag else flag
                 for th2, inst in _match_node(p, sub_children[j], th):
-                    yield from _ac_assign(table, i + 1, free & ~(1 << j), th2, insts + [inst])
+                    yield from _ac_assign(table, i + 1, free - (1 << j), th2, insts + [inst], flag2)
 
 
 def match(pattern: Term, subject: Term) -> Iterator[Subst]:
@@ -175,14 +222,15 @@ def match(pattern: Term, subject: Term) -> Iterator[Subst]:
         yield theta
 
 
-def redexes_at(node: Term, head: Term) -> Iterator[tuple[tuple[int, ...] | None, Subst, Term]]:
+def redexes_at(node: Term, head: Term, resume=None) -> Iterator[Redex]:
     """Redexes anchored at this node, as (selected, theta, matched).
 
     For a match against a submultiset of an AC node's children, `selected`
     holds the consumed child indices (1-based, ascending); for a whole-node
     match it is None. `matched` is the head instance, aligned node-for-node
     with the pattern (AC groups bound to one variable stay nested), so entry
-    and history computations can traverse it in matched order.
+    and history computations can traverse it in matched order. A resume
+    point (an earlier object of this node, stop) applies to an AC head.
     """
     if (
         isinstance(head, App)
@@ -190,12 +238,19 @@ def redexes_at(node: Term, head: Term) -> Iterator[tuple[tuple[int, ...] | None,
         and isinstance(node, App)
         and node.functor == head.functor
     ):
-        for theta, inst, left in _match_ac(head, node, {}, full=False):
+        for theta, inst, left in _match_ac(head, node, {}, False, resume):
             used = tuple(i + 1 for i in range(len(node.args)) if not left >> i & 1)
             yield (used if left else None), theta, inst
         return
     for theta, inst in _match_node(head, node, {}):
         yield None, theta, inst
+
+
+def stop_of(node: App, inst: App) -> tuple[tuple[int, ...], ...]:
+    """A resume point's stop for a head instance of an AC head at node: for
+    each head child, the indices of the children of node it took, ascending."""
+    at = {c.id: j for j, c in enumerate(node.args)}
+    return tuple(tuple(at[c.id] for c in (m.args if m.id == node.id else (m,))) for m in inst.args)
 
 
 class ContextIndex:

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import pathlib
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,17 @@ PROGRAMS = pathlib.Path(__file__).parent / "programs"
 
 def load_program(name):
     return parse_program((PROGRAMS / name).read_text(encoding="utf-8"))
+
+
+def shuffled_leq_cycle(n, seed):
+    """(source, variable names) of a cycle leq(V1,V2) /\\ ... /\\ leq(Vn,V1)
+    over X0, ..., Xn-1, the names and the atoms in a seeded random order."""
+    rng = random.Random(seed)
+    names = [f"X{i}" for i in range(n)]
+    rng.shuffle(names)
+    atoms = [f"leq({names[i]},{names[(i + 1) % n]})" for i in range(n)]
+    rng.shuffle(atoms)
+    return " /\\ ".join(atoms), names
 
 
 def count_calls(monkeypatch, module, name, limit=None):

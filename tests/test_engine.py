@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import count_calls, load_program, no_cyclic_garbage
+from conftest import count_calls, load_program, no_cyclic_garbage, shuffled_leq_cycle
 from test_terms import random_term
 
 from acdterm import (
@@ -410,12 +410,14 @@ def test_propagation_keeps_the_nodes_it_matched(leq_program):
     assert ts.path == () and after.goal.functor == AND
     assert after.goal.args[0] is first.goal
     # transitivity's first head atom takes the later conjunct; both stay
-    # the same objects, in goal order
+    # the same objects, in goal order, and the body goes first in the
+    # conjunction, which keeps its identifier
     before = initial_state(P("leq(b,c) /\\ leq(a,b) /\\ p"))
     after, ts = step(before, leq_program)
     assert ts.rule == "transitivity" and ts.path == ()
-    assert pretty(strip(after.goal)) == "leq(b,c) /\\ leq(a,b) /\\ leq(a,c) /\\ p"
-    assert all(after.goal.args[i] is before.goal.args[i] for i in (0, 1))
+    assert pretty(strip(after.goal)) == "leq(a,c) /\\ leq(b,c) /\\ leq(a,b) /\\ p"
+    assert all(after.goal.args[i + 1] is before.goal.args[i] for i in (0, 1, 2))
+    assert after.goal.id == before.goal.id
 
 
 def test_selection_residual_outside_conjunction_is_not_context():
@@ -511,12 +513,12 @@ def test_oracle_successors_hold_only_live_identifiers(leq_program):
 
 
 def test_history_of_seven_cycle_stays_small():
-    # the run records 8,837 entries; all but these name a removed node
+    # the run records 3,600 entries; all but these name a removed node
     leq4 = Program(load_program("leq.acd").rules[:4])
     res = run(leq4, leq_cycle(7), max_steps=100_000)
     assert res.status == NORMAL_FORM
-    assert len(res.trace) == 104
-    assert len(res.final.history) == 180
+    assert len(res.trace) == 76
+    assert len(res.final.history) == 485
 
 
 # --- AC matching work bounds ----------------------------------------------------
@@ -562,30 +564,55 @@ def test_leq_corpus_reaches_normal_form_on_five_cycle(monkeypatch, leq_program):
     # the full corpus program, conj_false/conj_true included
     calls = count_calls(monkeypatch, matching, "_match_node", limit=100_000)
     walks = count_calls(monkeypatch, engine, "subterms")
-    goal = P(" /\\ ".join(f"leq(X{i},X{(i + 1) % 5})" for i in range(5)))
+    goal = leq_cycle(5)
     res = run(leq_program, goal)
     assert res.status == NORMAL_FORM
     assert calls.calls > 0
     # one walk of the goal per step, the last one finding no redex
     assert walks.calls == len(res.trace) + 1
     answer = strip(res.final.goal)
-    atoms = answer.args if isinstance(answer, App) and answer.functor == AND else (answer,)
-    parent = {f"X{i}": f"X{i}" for i in range(5)}
+    assert "true" not in pretty(answer)  # conj_true leaves no `true` conjunct
+    assert_leq_answer(answer, [f"X{i}" for i in range(5)])
+
+
+def assert_leq_answer(answer, names):
+    """A leq solver's answer on a cycle over the variables `names`: only
+    `true` and leq and = atoms over them, no leq(X,X), no repeated or
+    symmetric leq pair, and equations that join every variable into one
+    class."""
+    parent = {v: v for v in names}
 
     def find(v):
         while parent[v] != v:
             v = parent[v]
         return v
 
-    for atom in atoms:
+    pairs = set()
+    for atom in answer.args if answer.functor == AND else (answer,):
+        if atom == App("true"):
+            continue
         assert isinstance(atom, App) and atom.functor in ("leq", "="), atom
-        left, right = atom.args
-        assert isinstance(left, Var) and isinstance(right, Var), atom
-        if atom.functor == "leq":
-            assert left != right, atom
+        assert all(isinstance(a, Var) for a in atom.args), atom
+        x, y = (a.name for a in atom.args)
+        if atom.functor == "=":
+            parent[find(x)] = find(y)
         else:
-            parent[find(left.name)] = find(right.name)
-    assert len({find(v) for v in parent}) == 1
+            assert x != y and not {(x, y), (y, x)} & pairs, atom
+            pairs.add((x, y))
+    assert len({find(v) for v in names}) == 1, pretty(answer)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_leq_cycles_in_any_order_reach_a_solved_form(n):
+    # where a propagation puts its body decides the answer: with the body
+    # after the last matched child, seed 0's 4-cycle stops with the single
+    # equation X2 = X3, which leaves X0 and X1 out of the class
+    leq4 = Program(load_program("leq.acd").rules[:4])
+    for seed in range(20):
+        src, names = shuffled_leq_cycle(n, seed)
+        res = run(leq4, P(src), max_steps=100_000)
+        assert res.status == NORMAL_FORM, src
+        assert_leq_answer(strip(res.final.goal), names)
 
 
 def test_run_leaves_no_cyclic_garbage(leq_program, unify_program):

@@ -30,7 +30,7 @@ from conftest import load_program
 from acdterm import parse_program, parse_term, run
 from acdterm.engine import step_record
 
-GOLDEN_DIGEST = "5b5da09c66f12b0cffc26046744820b8f31627cc211685e75c37abfda0664ce0"
+GOLDEN_DIGEST = "78efbe4cb74600c730e1bf93fb7a4ed1730ff4db18a88127aa1c7b4c31d73cf1"
 
 NUMBERS = parse_program(
     """

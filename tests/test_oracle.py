@@ -240,7 +240,7 @@ def test_engine_successor_is_an_oracle_successor(
             assert (mine.goal, mine.history) in theirs, (src, nxt[1].rule)
             state = nxt[0]
             checked += 1
-    assert checked == 38
+    assert checked == 40
 
 
 # --- meta-oracle spot check -------------------------------------------------------
