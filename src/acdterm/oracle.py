@@ -7,18 +7,22 @@ written child order, and plain first-order matching between the two binary
 views. Permuting the focus alone reaches every assignment of goal nodes to
 head children; permuting the head too would reach each assignment once per
 head order, each with its own history entry, so a propagation would fire
-again on the same nodes. This is exponential and deliberately shares none of
-the matcher's submultiset assignment machinery; goals beyond the size bound
-are refused rather than handled slowly or incompletely.
+again on the same nodes. A bare variable head takes each focus in one view
+only, its goal-order view (`_goal_view`): every other view binds the
+variable to the same nodes and gives the same successor once flattened and
+relabelled. This is exponential and deliberately shares none of the
+matcher's submultiset assignment machinery; goals beyond the size bound are
+refused rather than handled slowly or incompletely.
 
 The oracle's own parts are the matcher and the state key: `_arrangements`
 (the binary views, annotated terms whose AC nodes are binary, built by the
-recursion `_arr`), `_match_b`, `_cc_assign`, `_children_ok`,
-`_in_goal_order` and `_relabel` (through `_relabel_walk`), the one key on
-which the search and the trace replay tell states apart. Each match is
-handed, as the head view, the matched view and the bindings, to
-`engine._successor`, the firing routine the engine uses too: guard, history
-check and entry, body instance, history renaming and the successor state.
+recursion `_arr`), `_goal_view` (the first of them, alone), `_match_b`,
+`_cc_assign`, `_children_ok`, `_in_goal_order` and `_relabel` (through
+`_relabel_walk`), the one key on which the search and the trace replay tell
+states apart. Each match is handed, as the head view, the matched view and
+the bindings, to `engine._successor`, the firing routine the engine uses
+too: guard, history check and entry, body instance, history renaming and
+the successor state.
 """
 
 from __future__ import annotations
@@ -115,6 +119,21 @@ def _arr(node: Term, cap: int, permute: bool, count: list) -> list:
                 raise OracleSizeError(f"more than {cap} AC rearrangements")
             results.extend(batch)
     return results
+
+
+def _goal_view(node: Term) -> Term:
+    """The binary view of an annotated term that keeps every AC node's
+    children in goal order, nested to the right: the first of
+    `_arrangements(node, cap, permute=False)`, built without the others."""
+    if not isinstance(node, App) or not node.args:
+        return node
+    args = [_goal_view(a) for a in node.args]
+    if node.functor not in AC_FUNCTORS:
+        return App(node.functor, tuple(args), node.id)
+    view = args[-1]
+    for a in reversed(args[1:-1]):
+        view = App(node.functor, (a, view), -1)
+    return App(node.functor, (args[0], view), node.id)
 
 
 @lru_cache(maxsize=1024)
@@ -234,7 +253,9 @@ def enumerate_transitions(
 
     One entry per firing: a head assignment is reached once per order and
     shape of the focus's binary views, and two firings may give the same
-    state up to identifier relabelling. A propagation fires only on views
+    state up to identifier relabelling. A bare variable head is the
+    exception: it matches each focus in its goal-order view alone, so each
+    focus fires it once per context match. A propagation fires only on views
     that list its bindings' AC children in goal order (`_in_goal_order`), so
     it fires once per binding. The successors are raw, not
     relabelled; callers key states on `_relabel`, the oracle's one state key.
@@ -276,13 +297,20 @@ def enumerate_transitions(
         for focus, selected in foci:
             key = _head(focus)
             context = None  # the focus's context, once a simpagation needs it
+            view = None  # its goal-order view, once a variable head needs it
             for rule, head_key, head_views, cc_views in table:
                 if head_key is not None and (
                     head_key != key
                     or head_key in AC_FUNCTORS and not _children_ok(rule.head, focus)
                 ):
                     continue
-                for s_arr in arrs(focus):
+                if head_key is not None:
+                    views = arrs(focus)
+                else:
+                    # every view of the focus binds a bare variable head to
+                    # the same nodes, so one gives every successor
+                    views = view = view or (_goal_view(focus),)
+                for s_arr in views:
                     for h_arr in head_views:
                         theta = _match_b(h_arr, s_arr, {})
                         if theta is None:
@@ -399,20 +427,20 @@ def search_normal_forms(
 def first_divergence(program: Program, goal: Term, trace) -> int | None:
     """Index of the first trace step that is not a legal transition, if any.
 
-    The trace is replayed against the full successor relation; every stage
-    keeps all oracle states compatible with the steps seen so far.
+    The trace is replayed against the successor relation of the rule each
+    step names, so a step naming a rule the program lacks has none, and
+    the bound on AC rearrangements raises OracleSizeError only for the views
+    that rule needs; every stage keeps all oracle states compatible with the
+    steps seen so far.
     """
     frontier = [_relabel(initial_state(goal))]
     for ts in trace:
         target = ac_key(ts.goal)
         nxt: dict[EngineState, None] = {}  # the relabelled states, in order
+        named = Program(tuple(r for r in program.rules if r.name == ts.rule))
         for st in frontier:
-            for succ, sts in enumerate_transitions(st, program):
-                if (
-                    sts.rule == ts.rule
-                    and sts.kind == ts.kind
-                    and ac_key(sts.goal) == target
-                ):
+            for succ, sts in enumerate_transitions(st, named):
+                if sts.kind == ts.kind and ac_key(sts.goal) == target:
                     nxt[_relabel(succ)] = None
         if not nxt:
             return ts.index

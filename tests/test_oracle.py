@@ -36,9 +36,21 @@ from acdterm.engine import (
     HistoryEntry,
     TraceStep,
     _flatten_annotated,
+    _successor,
 )
-from acdterm.oracle import MAX_GOAL_SIZE, _arrangements, _match_b, _relabel
-from acdterm.terms import AC_FUNCTORS, ac_key, size
+from acdterm.oracle import (
+    MAX_ARRANGEMENTS,
+    MAX_GOAL_SIZE,
+    _arrangements,
+    _cc_assign,
+    _goal_view,
+    _in_goal_order,
+    _match_b,
+    _pattern_views,
+    _relabel,
+)
+from acdterm.rules import PROPAGATION
+from acdterm.terms import AC_FUNCTORS, AND, _CONTEXT_END, ac_key, conjunctive_context, size
 
 P = parse_term
 
@@ -117,6 +129,90 @@ def test_propagation_fires_once_per_binding(source, goal, expected):
     assert pretty(canonical(strip(run(prog, P(goal)).final.goal))) == expected
 
 
+@pytest.mark.parametrize(
+    "source, firings",
+    [("r @ X <=> z.", 7), ("r @ X ==> q(X).", 7)],
+    ids=["simplification", "propagation"],
+)
+def test_variable_head_fires_once_per_focus(source, firings):
+    # three children, three pairs and the whole node, each in its goal-order
+    # view only: 21 and 8 firings when every view of each focus fired
+    prog = parse_program(source)
+    succs = enumerate_transitions(initial_state(P("a /\\ b /\\ c")), prog)
+    assert len(succs) == firings
+    assert len({_relabel(s) for s, _ in succs}) == 7
+
+
+def _every_view_successors(state, rule):
+    """The relabelled successors of a bare variable head fired on every binary
+    view of every focus, a propagation on the views in goal order only."""
+    goal = state.goal
+    nodes = subterms(goal)
+    order = {n.id: i for i, (_, n) in enumerate(nodes)}
+    head = _pattern_views(rule.head)[0]
+    cc = rule.cc_head
+    conjuncts = cc.args if isinstance(cc, App) and cc.functor == AND else (cc,)
+    cc_views = None if cc is None else [_pattern_views(c) for c in conjuncts]
+
+    def arrs(t):
+        return _arrangements(t, MAX_ARRANGEMENTS)
+
+    out = set()
+    for path, node in nodes:
+        foci = [(node, None)]
+        if isinstance(node, App) and node.functor in AC_FUNCTORS:
+            n = len(node.args)
+            for k in range(2, n):
+                for combo in itertools.combinations(range(1, n + 1), k):
+                    members = tuple(node.args[i - 1] for i in combo)
+                    foci.append((App(node.functor, members, -1), combo))
+        for focus, selected in foci:
+            for view in arrs(focus):
+                if rule.kind == PROPAGATION and not _in_goal_order(view, order):
+                    continue
+                thetas = [{rule.head.name: view}]
+                if cc is not None:
+                    context = conjunctive_context(goal, path, selected) + (_CONTEXT_END,)
+                    thetas = _cc_assign(cc_views, context, arrs, 0, frozenset(), thetas[0])
+                for theta in thetas:
+                    fired = _successor(rule, state, path, node, selected, head, view, theta)
+                    if fired is not None:
+                        out.add(_relabel(fired[0]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "source, goal",
+    [
+        ("r @ X <=> z.", "a /\\ b /\\ c"),
+        ("r @ X ==> q(X).", "a /\\ b /\\ c"),
+        ("r @ X <=> z.", "g(a + (b /\\ c)) /\\ d /\\ (e \\/ f)"),
+        ("r @ X ==> q(X).", "g(a + (b /\\ c)) /\\ d /\\ (e \\/ f)"),
+        # the context repeats the variable, as in one_subst.acd, and its
+        # element lists the AC children in another order than the focus
+        ("r @ X = V \\ X <=> V.", "((b + a) = c) /\\ (a + b)"),
+        ("r @ X = V \\ X <=> V.", "((a + (c /\\ b)) = d) /\\ g((b /\\ c) + a)"),
+        ("r @ Y \\ X <=> X !== Y | z.", "p(a + b) /\\ (a + b) /\\ q"),
+    ],
+)
+def test_variable_head_goal_view_gives_every_successor(source, goal):
+    # every other view of a focus binds the variable to the same nodes, so
+    # the goal-order view alone reaches the successors that all views reach
+    prog = parse_program(source)
+    state = initial_state(P(goal))
+    mine = [_relabel(s) for s, _ in enumerate_transitions(state, prog)]
+    theirs = _every_view_successors(state, prog.rules[0])
+    assert theirs
+    assert set(mine) == theirs
+
+
+def test_goal_view_is_the_first_arrangement():
+    rng = random.Random(13)
+    for _ in range(200):
+        t = annotate(1, random_term(rng, depth=2))
+        assert _goal_view(t) == _arrangements(t, 10**6, permute=False)[0]
+
+
 def test_rule_views_are_fetched_once_per_call(monkeypatch):
     # one call fetches the views of each rule head (4) and each context
     # conjunct (2) once, not once per head match: 4,680 fetches when every
@@ -172,6 +268,35 @@ def test_verify_rejects_forged_step(leq_program):
     ]
     assert not verify_trace(leq_program, goal, forged)
     assert first_divergence(leq_program, goal, forged) == 1
+
+
+def test_replay_enumerates_only_the_named_rule(monkeypatch, leq_program):
+    # each stage of a replay fires only the rule its step names; a step that
+    # names a rule the program lacks has no successor and is refused
+    from acdterm import oracle
+
+    goal = P("leq(X,Y) /\\ leq(Y,Z) /\\ ~leq(X,Z)")
+    trace = run(leq_program, goal).trace
+    assert len({ts.rule for ts in trace}) > 1
+    current = []
+    enumerate_all = oracle.enumerate_transitions
+
+    def named_only(state, program):
+        assert [r.name for r in program.rules] == [current[-1].rule]
+        return enumerate_all(state, program)
+
+    def replayed():
+        for ts in trace:
+            current.append(ts)
+            yield ts
+
+    monkeypatch.setattr(oracle, "enumerate_transitions", named_only)
+    assert first_divergence(leq_program, goal, replayed()) is None
+    assert current == list(trace)
+    renamed = list(trace)
+    renamed[1] = renamed[1]._replace(rule="no_such_rule")
+    monkeypatch.setattr(oracle, "enumerate_transitions", enumerate_all)
+    assert first_divergence(leq_program, goal, renamed) == renamed[1].index
 
 
 def test_verify_rejects_wrong_result(leq_program):
@@ -400,6 +525,30 @@ def test_engine_traces_of_random_programs_are_legal():
                     assert canonical(strip(res.final.goal)) in found.normal_forms, where
                     compared += 1
     assert checked > 120 and compared > 90, (checked, compared)
+
+
+def _random_case(seed, k):
+    """The program of one seed of test_semi_naive's generator and its goal
+    number k, drawn as test_engine_traces_of_random_programs_are_legal draws
+    them."""
+    rng = random.Random(seed)
+    program = parse_program(_random_program(rng))
+    goals = [P(_random_goal(rng)) for _ in range(k + 1)]
+    return program, goals[k]
+
+
+@pytest.mark.parametrize("seed, k", [(710, 0), (942, 1), (979, 0), (979, 1)])
+def test_variable_head_replays_stay_small(monkeypatch, seed, k):
+    # each replay ran past a 10 s alarm, or 5.8 s for seed 979's first goal,
+    # when a variable head took every view of every focus; seed 979's second
+    # goal raised OracleSizeError below MAX_GOAL_SIZE. Now 13-96 calls
+    from acdterm import oracle
+
+    program, goal = _random_case(seed, k)
+    trace = run(program, goal, 12).trace
+    assert max([size(goal)] + [size(ts.goal) for ts in trace]) <= 20
+    count_calls(monkeypatch, oracle, "_arrangements", limit=150)
+    assert verify_trace(program, goal, trace)
 
 
 def test_ac_binding_sweep_agrees_with_the_referee():
