@@ -11,15 +11,19 @@ context head to match within the conjunctive context of the focus.
 
 A step tables the goal's nodes by head key (`terms._head`) once, and each
 rule visits, in preorder, only the nodes under its head's key (every node for
-a variable head). Contexts are indexed by head key and bound argument
-(`matching.ContextIndex`), one index per conjunction per step, shared by the
-rules and by every focus in that conjunction: the index holds the
-conjunction's frame, its ancestors' sibling conjuncts and then all its
-children, and a focus masks the children it lies under or selects
-(`_focus_contexts`), so a conjunction of width w costs one O(w) index per
-step. `match_cc` tries only the unmasked elements the index gives. The
-filters and the mask skip only what could not match or is not in the
-context, so the enumeration order, and with it every trace, is that of
+a variable head, the variable nodes alone when its head guard holds `var` of
+it). A rule's head guard, the guard conjuncts its head binds
+(`Rule.head_guard`), is tested on each head redex of a simpagation before any
+context is matched, as CHR compilers schedule a guard as soon as its
+variables are bound (Holzbaur et al., TPLP 5(4-5), 2005). Contexts are
+indexed by head key and bound argument (`matching.ContextIndex`), one index
+per conjunction per step, shared by the rules and by every focus in that
+conjunction: the index holds the conjunction's frame, its ancestors' sibling
+conjuncts and then all its children, and a focus masks the children it lies
+under or selects (`_focus_contexts`), so a conjunction of width w costs one
+O(w) index per step. `match_cc` tries only the unmasked elements the index gives. The
+head guard, the filters and the mask skip only what could not fire or is not
+in the context, so the enumeration order, and with it every trace, is that of
 trying every rule at every position against every context element.
 
 Steps are semi-naive, as CHR's refined semantics wakes only new constraints
@@ -33,8 +37,8 @@ on the bindings, and the history only loses entries naming removed nodes; a
 match that fired is in the history. `step` has one attempt loop, which reads
 a (rule, node) entry once and writes it once: at the same node object it
 skips a simplification or propagation that fired nothing, and a simpagation
-takes the head redexes from the entry, which are those `redexes_at` would
-give again, and tries each only against the contexts that hold a new element
+takes the head redexes from the entry, which are those of `redexes_at` that
+its head guard let through, and tries each only against the contexts that hold a new element
 a conjunct can take: one whose head key a conjunct has (`ContextPattern.keys`),
 any element for a variable conjunct. The implicit `true` is never in the old
 frame, so it is new wherever a conjunct can take it. Elsewhere a propagation
@@ -240,6 +244,12 @@ def _splice(node: Term, selected: tuple[int, ...], replacement: Term) -> Term:
     return app(node.functor, new_children, node.id)
 
 
+def _head_guard_holds(rule: Rule, theta: Subst) -> bool:
+    """Whether a head match's bindings theta pass the rule's head guard: no
+    context match can make a match it refuses fire."""
+    return all(guard_holds(g, theta) for g in rule.head_guard)
+
+
 def _successor(
     rule: Rule,
     state: EngineState,
@@ -360,7 +370,10 @@ def step(
     """One transition: textually first rule at its first redex, or None.
 
     A rule visits, in preorder, only the goal nodes whose head key
-    (`terms._head`) is its head's, or every node for a variable head.
+    (`terms._head`) is its head's, or every node for a variable head, the
+    variable nodes alone when its head guard holds `var` of it. A
+    simpagation drops a head redex its head guard refuses
+    (`_head_guard_holds`) before matching any context.
     `context_of(path, node, selected)` gives a focus's conjunctive context
     as an index and the mask of its positions there.
 
@@ -370,9 +383,9 @@ def step(
     object, stop) for any other rule. The frame is the index a simpagation's
     redexes there took their contexts from, a selection's if there is one
     (at a conjunction that is the node's own frame, which holds the whole
-    node's context too), else None; the redexes are its head redexes there,
-    as tried. stop is the assignment that fired (`matching.stop_of`), or
-    None. At the node object of its entry a rule without a context head is
+    node's context too), else None; the redexes are its head redexes there
+    that passed the head guard, as tried. stop is the assignment that fired
+    (`matching.stop_of`), or None. At the node object of its entry a rule without a context head is
     skipped when stop is None, and a simpagation goes through the entry's
     redexes and matches only the contexts with an element not in that frame
     that a conjunct can take (`cc.keys`, any for a variable conjunct), the
@@ -397,7 +410,8 @@ def step(
         head = _head(rule.head)
         cc = rule.cc
         resumes = rule.kind == PROPAGATION and head in AC_FUNCTORS
-        for path, node in nodes if head is None else by_head.get(head, ()):
+        everywhere = head is None and App("var", (rule.head,)) not in rule.head_guard
+        for path, node in nodes if everywhere else by_head.get(head, ()):
             key = r, node.id
             prior = memo.get(key)
             old = frame = redexes = None
@@ -412,6 +426,8 @@ def step(
                 selected, theta, matched = redex
                 thetas = (theta,)
                 if cc is not None:
+                    if redexes is None and not _head_guard_holds(rule, theta):
+                        continue
                     tried.append(redex)
                     index, masked = context_of(path, node, selected)
                     if frame is None or selected is not None:

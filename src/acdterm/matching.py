@@ -26,6 +26,11 @@ order. It carries one flag: free after a new child or past `stop`; below while
 before `stop` on old children only, so a later pattern child must take a new
 one; tight while equal to `stop`, up to a pattern child with an AC node inside,
 whose inner matches `stop` does not order.
+
+Guards read the bindings as they are: `var`, `nonvar`, `!==` (by `ac_key`),
+`size` and the arithmetic all read terms modulo identifiers and AC nesting, so
+a guard strips and rebuilds no binding, and the engine can afford to test a
+rule's head guard on every head match before matching its context.
 """
 
 from __future__ import annotations
@@ -394,8 +399,8 @@ def _instantiate(term: Term, theta: Subst, taken: frozenset[str]) -> Term:
 def _instantiate_with(
     t: Term, theta: Subst, taken: frozenset[str], fresh: dict[str, Var]
 ) -> Term:
-    # a recursive function rather than a closure: guards call _instantiate
-    # once per variable, where building a closure would double its cost
+    # a recursive function rather than a closure: a closure that calls itself
+    # is a reference cycle, left for the cyclic collector after every call
     if isinstance(t, Var):
         bound = theta.get(t.name)
         if bound is not None:
@@ -433,13 +438,28 @@ def _arith(t: Term) -> int | None:
     return None
 
 
+def _guard_arg(t: Term, theta: Subst) -> Term:
+    # a guard argument under theta, each bound variable replaced by its
+    # binding as it is: the tests below read terms modulo identifiers and AC
+    # nesting, so nothing is stripped. An unbound variable becomes the fresh
+    # variable `_instantiate` would give it
+    if isinstance(t, Var):
+        bound = theta.get(t.name)
+        return Var(f"_{t.name}1") if bound is None else bound
+    if isinstance(t, App) and t.args:
+        return App(t.functor, tuple(_guard_arg(a, theta) for a in t.args))
+    return t
+
+
 def guard_holds(guard: Term, theta: Subst) -> bool:
     """Whether a guard term holds under theta.
 
     The recognised guards: true, false, conjunction, var/1, nonvar/1,
     disequality modulo AC !==, and comparisons (=, !=, <=, <, >=, >) over
     arithmetic expressions built from integers, +, * and size/1. Any other
-    term simply does not hold.
+    term simply does not hold. The bindings are read as they are, annotated
+    and possibly nested; an unbound variable is a variable of its own, so
+    `var(X)` holds and `X !== X` does not.
     """
     if not isinstance(guard, App):
         return False
@@ -450,7 +470,7 @@ def guard_holds(guard: Term, theta: Subst) -> bool:
         return False
     if f == AND:
         return all(guard_holds(a, theta) for a in guard.args)
-    args = [_instantiate(a, theta, frozenset()) for a in guard.args]
+    args = [_guard_arg(a, theta) for a in guard.args]
     if f == "var" and n == 1:
         return isinstance(args[0], Var)
     if f == "nonvar" and n == 1:

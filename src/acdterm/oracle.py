@@ -22,7 +22,10 @@ recursion `_arr`), `_goal_view` (the first of them, alone), `_match_b`,
 states apart. Each match is handed, as the head view, the matched view and
 the bindings, to `engine._successor`, the firing routine the engine uses
 too: guard, history check and entry, body instance, history renaming and
-the successor state.
+the successor state. Before a context is matched, the rule's head guard is
+tested on the head match (`engine._head_guard_holds`), and for a bare
+variable head on the focus, before its view is built: a match it refuses
+fails the guard whatever its context.
 """
 
 from __future__ import annotations
@@ -31,7 +34,15 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from .engine import EngineState, HistoryEntry, TraceStep, _occurrences, _successor, initial_state
+from .engine import (
+    EngineState,
+    HistoryEntry,
+    TraceStep,
+    _head_guard_holds,
+    _occurrences,
+    _successor,
+    initial_state,
+)
 from .rules import PROPAGATION, Program
 from .terms import (
     AC_FUNCTORS,
@@ -306,6 +317,8 @@ def enumerate_transitions(
                     continue
                 if head_key is not None:
                     views = arrs(focus)
+                elif not _head_guard_holds(rule, {rule.head.name: focus}):
+                    continue
                 else:
                     # every view of the focus binds a bare variable head to
                     # the same nodes, so one gives every successor
@@ -330,6 +343,8 @@ def enumerate_transitions(
                                 continue
                         thetas = (theta,)
                         if cc_views is not None:
+                            if not _head_guard_holds(rule, theta):
+                                continue
                             if context is None:
                                 context = conjunctive_context(goal, path, selected)
                                 context += (_CONTEXT_END,)

@@ -499,6 +499,43 @@ def test_guard_pure_function_of_bindings():
     slim = {"S": theta["S"], "T": theta["T"]}
     g = P("size(S) <= size(T)")
     assert guard_holds(g, theta) == guard_holds(g, slim)
+    # the bindings are read as they are: annotated, with AC groups nested as
+    # the matcher binds them, the verdicts are those on the plain terms
+    guards = [
+        P(src)
+        for src in (
+            "var(X)", "nonvar(Y)", "X !== Y", "f(X) !== f(Y)", "size(X) <= size(Y)",
+            "X + 1 > Y", "X * Y = 10", "size(X + Y) = 7",
+        )
+    ]
+    verdicts = set()
+    for subject in ("1 + 2 + 3 + 4", "a + (b /\\ c) + a + V", "V + W"):
+        for theta in match(P("X + Y"), A(subject)):
+            for g in guards:
+                verdict = guard_holds(g, theta)
+                assert verdict == guard_holds(g, plain(theta)), (g, theta)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_guard_unbound_variable_is_a_variable_of_its_own():
+    assert guard_holds(P("var(X)"), {})
+    assert not guard_holds(P("nonvar(X)"), {})
+    assert not guard_holds(P("X !== X"), {})
+    assert guard_holds(P("X !== Y"), {})
+
+
+def test_guard_strips_no_binding(monkeypatch):
+    from acdterm import matching
+
+    big = A(" /\\ ".join(f"f(g(c{i}), h(c{i}))" for i in range(200)))
+    deep = A("f(" * 100 + "a" + ")" * 100)
+    theta = {"X": annotate(0, Var("A")), "Y": big, "S": deep, "T": big}
+    strips = count_calls(monkeypatch, matching, "strip")
+    assert guard_holds(P("var(X)"), theta)
+    assert guard_holds(P("X !== Y"), theta)
+    assert guard_holds(P("size(S) <= size(T)"), theta)
+    assert strips.calls == 0
 
 
 def test_ac_match_stops_when_a_sibling_has_no_candidate(monkeypatch):

@@ -206,6 +206,32 @@ def test_variable_head_goal_view_gives_every_successor(source, goal):
     assert set(mine) == theirs
 
 
+def test_head_guard_comes_before_the_context(monkeypatch, unify_program):
+    # vsubs's and tsubs's `var(X)` is tested on each head match before its
+    # context is matched, and on a variable head's focus before its view is
+    # built: 28 top-level `_cc_assign` and 18 `_goal_view` calls, against 76
+    # and 171 when every head match reached its context
+    from acdterm import oracle
+
+    original = oracle._cc_assign
+    assigns = []
+
+    def top_level(conj_arrs, elems, arrs, i, used, th):
+        if i == 0:
+            assigns.append(th)
+        return original(conj_arrs, elems, arrs, i, used, th)
+
+    monkeypatch.setattr(oracle, "_cc_assign", top_level)
+    views = count_calls(monkeypatch, oracle, "_goal_view")
+    result = search_normal_forms(unify_program, P("f(X) = Y /\\ Y = f(a)"))
+    assert (result.explored, result.truncated) == (7, False)
+    assert result.normal_forms == {
+        canonical(P("X = a /\\ Y = f(a)")),
+        canonical(P("X = a /\\ Y = f(X)")),
+    }
+    assert len(assigns) <= 40 and views.calls <= 30, (len(assigns), views.calls)
+
+
 def test_goal_view_is_the_first_arrangement():
     rng = random.Random(13)
     for _ in range(200):

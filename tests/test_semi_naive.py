@@ -19,7 +19,7 @@ from conftest import count_calls, load_program, shuffled_leq_cycle
 from acdterm import engine, enumerate_transitions, parse_program, parse_term
 from acdterm.engine import initial_state, run, step
 from acdterm.rules import Program
-from acdterm.terms import ids_of, size, subterms
+from acdterm.terms import Var, ids_of, size, subterms
 
 _ATOMS = ["p(X)", "p(a)", "q(X)", "q(Y)", "q(b)", "r(X,Y)", "r(X,X)", "r(a,Y)", "g(X)"]
 _HEADS = _ATOMS + [
@@ -229,8 +229,12 @@ def test_one_node_draws_on_two_frames():
 
 def test_memo_skips_refused_guards(monkeypatch, unify_program):
     # stepping without a memo re-checks at every step of the chain the
-    # guards refused at every unchanged node (1,214 calls);
-    # with the memo only matches with something new reach the guard (161)
+    # guards refused at every unchanged node (1,214 calls); with the memo
+    # only matches with something new reach the guard. A simpagation's head
+    # guard is tested once per fresh head redex, before its contexts (263
+    # calls, 161 when only fired contexts reached a guard); the bound holds
+    # because vsubs's variable head, under `var(X)`, visits the variable
+    # nodes alone (388 calls when it visited every node)
     guards = count_calls(monkeypatch, engine, "guard_holds")
     result = run(unify_program, parse_term(CHAIN))
     assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
@@ -240,14 +244,38 @@ def test_memo_skips_refused_guards(monkeypatch, unify_program):
 def test_memo_skips_contexts_with_nothing_new(monkeypatch, unify_program):
     # vsubs and tsubs have no context conjunct that can take the implicit
     # `true`, so an old redex whose context holds no new element calls no
-    # `match_cc`: 950 calls on this chain, against 1,002 when every old
-    # redex called it; the trace is that of memo-less steps
+    # `match_cc`: 556 calls on this chain, against 1,002 when every old
+    # redex called it and no head guard came first; the trace is that of
+    # memo-less steps
     goal = parse_term(CHAIN)
     match_ccs = count_calls(monkeypatch, engine, "match_cc")
     result = run(unify_program, goal)
     assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
     assert match_ccs.calls <= 960, match_ccs.calls
     _agrees(unify_program, goal, 100)
+
+
+def test_head_guard_comes_before_the_context(monkeypatch, unify_program):
+    # vsubs and tsubs both test `var(X)` on the head match before matching
+    # their contexts: on the chain 556 `match_cc` calls, against 950 when
+    # every head match reached its contexts
+    match_ccs = count_calls(monkeypatch, engine, "match_cc")
+    result = run(unify_program, parse_term(CHAIN))
+    assert (len(result.trace), result.status) == (76, engine.NORMAL_FORM)
+    assert match_ccs.calls <= 600, match_ccs.calls
+    # a variable head under `var(X)` matches contexts at variable nodes only
+    bound = []
+    original = engine.match_cc
+
+    def recording(cc, index, theta, masked=0, fresh=0):
+        bound.append(theta["X"])
+        return original(cc, index, theta, masked, fresh)
+
+    monkeypatch.setattr(engine, "match_cc", recording)
+    program = parse_program("r @ X = V \\ X <=> var(X) | V.")
+    goal = parse_term("A = f(b) /\\ g(f(A), h(A, k(B, f(f(A))))) /\\ B = h(A, c)")
+    assert _agrees(program, goal, 20)[0] == 6
+    assert bound and all(isinstance(t, Var) for t in bound), bound
 
 
 def test_step_upkeep_follows_what_changed(monkeypatch, leq_program, unify_program):
